@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 suite first (the gate), then the fast lane.
+# CI entry point: tier-1 suite first (the gate), then the fast lane and
+# the benchmark's self-test.
 #
-#   scripts/ci.sh          # tier-1 + fast lane
+#   scripts/ci.sh          # tier-1 + fast lane + perfbench self-test
 #   scripts/ci.sh fast     # fast lane only (-m "not slow")
 #   scripts/ci.sh tier1    # tier-1 gate only
 #   scripts/ci.sh chaos    # chaos lane only (-m chaos fault-injection scenarios)
@@ -12,6 +13,7 @@
 #   scripts/ci.sh lifecycle # drift-triggered refit + hot-swap suites + CLI smoke
 #   scripts/ci.sh backend  # backend conformance + parity under numpy AND tiled
 #   scripts/ci.sh bench    # inference throughput benchmark (non-gating)
+#   scripts/ci.sh perfbench # benchmark self-test + 3 s stream_sqb and bulk_sqb runs
 #
 # The tier-1 gate is the canonical `PYTHONPATH=src python -m pytest -x -q`
 # run from ROADMAP.md. The fast lane re-runs the suite without the `slow`
@@ -32,6 +34,33 @@ run_tier1() {
 run_fast() {
     echo '== fast lane: -m "not slow" =='
     python -m pytest -x -q -m "not slow"
+}
+
+run_perfbench_selftest() {
+    # Feeds every perfbench output check a wrong output; fails if one
+    # accepts it.
+    echo '== perfbench self-test =='
+    python3 perfbench/run.py --selftest
+}
+
+run_perfbench() {
+    # Short runs of both serving workloads. perfbench exits 0 even when an
+    # output check fails, so the lane reads the result line (the last line
+    # of output) and fails unless it reports correct outputs and no failed
+    # operations.
+    run_perfbench_selftest
+    for workload in stream_sqb bulk_sqb; do
+        echo "== perfbench lane: $workload, 3 s =="
+        out="$(python3 perfbench/run.py --workload "$workload" --seconds 3)"
+        echo "$out"
+        printf '%s\n' "$out" | tail -n 1 | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+correct, failed = result.get("correct"), result.get("failed")
+print("%s: correct=%s failed=%s" % (sys.argv[1], correct, failed))
+sys.exit(0 if correct is True and failed == 0 else 1)
+' "$workload"
+    done
 }
 
 run_chaos() {
@@ -228,6 +257,7 @@ case "$lane" in
     lifecycle) run_lifecycle ;;
     backend) run_backend ;;
     bench) run_bench ;;
-    all)   run_tier1; run_fast ;;
-    *)     echo "usage: scripts/ci.sh [tier1|fast|chaos|taxonomy|shard|daemon|executor|lifecycle|backend|bench|all]" >&2; exit 2 ;;
+    perfbench) run_perfbench ;;
+    all)   run_tier1; run_fast; run_perfbench_selftest ;;
+    *)     echo "usage: scripts/ci.sh [tier1|fast|chaos|taxonomy|shard|daemon|executor|lifecycle|backend|bench|perfbench|all]" >&2; exit 2 ;;
 esac

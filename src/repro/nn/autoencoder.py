@@ -49,6 +49,7 @@ class Autoencoder:
         self.random_state = random_state
         self.encoder: Optional[Sequential] = None
         self.decoder: Optional[Sequential] = None
+        self._chain: Optional[Sequential] = None
         self.loss_history: List[float] = []
 
     # ------------------------------------------------------------------
@@ -70,8 +71,15 @@ class Autoencoder:
         return self.decoder(self.encoder(x))
 
     def _reconstructor(self) -> Sequential:
-        """Encoder and decoder as one chain for the compiled read path."""
-        return Sequential(self.encoder, self.decoder)
+        """Encoder and decoder as one chain for the compiled read path.
+
+        One chain per pair of networks, reused across calls, so repeated
+        reads hit the plan cache instead of compiling a fresh chain.
+        """
+        chain = self._chain
+        if chain is None or chain.modules != [self.encoder, self.decoder]:
+            chain = self._chain = Sequential(self.encoder, self.decoder)
+        return chain
 
     # ------------------------------------------------------------------
     def fit(self, X: np.ndarray) -> "Autoencoder":

@@ -398,7 +398,9 @@ class _CacheEntry:
     plan captured, ``sources`` strong references to those arrays — an id
     can only be recycled after its array is garbage collected, so
     holding the sources makes the id comparison sound. ``dropouts`` and
-    ``containers`` guard against mode flips and structural edits.
+    ``containers`` guard against mode flips and structural edits. The
+    containers are held weakly: the first one is the cache key itself,
+    and an entry that held its key strongly would never be dropped.
     """
 
     __slots__ = ("plan", "params", "data_ids", "sources", "dropouts", "containers")
@@ -409,13 +411,14 @@ class _CacheEntry:
         self.sources = tuple(p.data for p in params)
         self.data_ids = tuple(id(arr) for arr in self.sources)
         self.dropouts = dropouts
-        self.containers = containers
+        self.containers = [(weakref.ref(c), length) for c, length in containers]
 
     def valid(self) -> bool:
         if tuple(id(p.data) for p in self.params) != self.data_ids:
             return False
-        for container, length in self.containers:
-            if len(container.modules) != length:
+        for ref, length in self.containers:
+            container = ref()
+            if container is None or len(container.modules) != length:
                 return False
         for dropout in self.dropouts:
             if dropout.training and dropout.p > 0.0:

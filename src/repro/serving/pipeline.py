@@ -138,7 +138,10 @@ class ScoringPipeline:
     strategy:
         OOD strategy for the tri-class routing ("msp" / "es" / "ed").
     monitor_drift:
-        Attach a :class:`DriftMonitor` over the training features.
+        Attach a :class:`DriftMonitor` over the training features. Its
+        reference subsample is drawn with the model's
+        ``config.random_state``, so a swapped-in generation checks drift
+        exactly as a pipeline freshly calibrated with that model would.
     circuit_breaker:
         Breaker guarding the primary scorer; defaults to a
         :class:`~repro.resilience.breaker.CircuitBreaker` wired to this
@@ -444,7 +447,10 @@ class ScoringPipeline:
         self.threshold_ = self._threshold_from_scores(scores, y_val)
         if self._monitor_enabled:
             reference = X_reference if X_reference is not None else X_val
-            self._monitor = DriftMonitor(threshold=self._drift_threshold).fit(reference)
+            self._monitor = DriftMonitor(
+                threshold=self._drift_threshold,
+                random_state=self.model.config.random_state,
+            ).fit(reference)
         if self.fallback is None or self.fallback.threshold_ is None:
             alert_fraction = float(np.mean(scores >= self.threshold_))
             fallback = self.fallback if self.fallback is not None else (
@@ -601,7 +607,10 @@ class ScoringPipeline:
         monitor = None
         if self._monitor_enabled:
             reference = X_reference if X_reference is not None else X_val
-            monitor = DriftMonitor(threshold=self._drift_threshold).fit(reference)
+            monitor = DriftMonitor(
+                threshold=self._drift_threshold,
+                random_state=model.config.random_state,
+            ).fit(reference)
         alert_fraction = float(np.mean(scores >= threshold))
         fallback = ReconstructionFallback(model).calibrate(X_val, alert_fraction)
         spec = None

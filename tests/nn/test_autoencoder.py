@@ -46,6 +46,33 @@ class TestAutoencoder:
             Autoencoder(hidden_sizes=())
 
 
+class TestReadPathPlanCache:
+    def test_repeated_reconstruction_error_adds_no_cache_entries(self, rng):
+        import gc
+
+        from repro.nn.inference import _PLAN_CACHE, plan_cache_stats
+
+        X = correlated_data(rng, n=64)
+        ae = Autoencoder(hidden_sizes=(8, 3), epochs=1, random_state=0).fit(X)
+        ae.reconstruction_error(X)
+        gc.collect()
+        entries = len(_PLAN_CACHE.modules)
+        hits = plan_cache_stats()["hits"]
+        for _ in range(5):
+            ae.reconstruction_error(X)
+        gc.collect()
+        assert len(_PLAN_CACHE.modules) == entries
+        assert plan_cache_stats()["hits"] - hits == 5
+
+    def test_refit_replaces_the_chain(self, rng):
+        X = correlated_data(rng, n=64)
+        ae = Autoencoder(hidden_sizes=(8, 3), epochs=1, random_state=0).fit(X)
+        first = ae.reconstruct(X)
+        ae.epochs = 3
+        ae.fit(X)
+        assert not np.array_equal(ae.reconstruct(X), first)
+
+
 class TestSADAutoencoder:
     def test_labeled_anomalies_reconstruct_worse_than_plain_ae(self, rng):
         X = correlated_data(rng)

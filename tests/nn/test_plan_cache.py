@@ -169,3 +169,19 @@ def test_forward_in_batches_reuses_cached_plan():
     after = plan_cache_stats()
     assert after["hits"] > before["hits"]
     assert after["misses"] == before["misses"]
+
+
+def test_entry_does_not_keep_its_module_alive():
+    import gc
+    import weakref
+
+    from repro.nn.inference import _PLAN_CACHE
+
+    model = Sequential(make_model(), make_model(seed=1, sizes=(4, 5)))
+    cached_inference(model)
+    assert len(_PLAN_CACHE.modules) == 1
+    ref = weakref.ref(model)
+    del model
+    gc.collect()
+    assert ref() is None
+    assert len(_PLAN_CACHE.modules) == 0

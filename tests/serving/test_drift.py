@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serving import DriftMonitor
-from repro.serving.drift import ks_statistic
+from repro.serving.drift import _CONST_ATOL, _CONST_RTOL, _ks_from_sorted, ks_statistic
 
 
 class TestKSStatistic:
@@ -132,3 +134,104 @@ class TestRobustness:
         assert d["drifted"] is True
         assert d["drifted_features"] == [0]
         assert d["max_ks"] > 0.15 and d["threshold"] == pytest.approx(0.15)
+
+
+# -- the batched kernel against the pooled-grid reference ---------------------
+COLUMN_KINDS = ("normal", "shared", "integer", "onehot", "rounded", "constant")
+NONFINITE = np.array([np.nan, np.inf, -np.inf])
+
+
+def _columns(kind, n_ref, n_batch, shift, rng):
+    """A reference and a batch column of one kind; ``shared`` reuses reference values."""
+    if kind == "constant":
+        ref = np.full(n_ref, 2.5)
+        moved = rng.random(n_batch) < shift / 4.0
+        return ref, np.where(moved, 2.5 + rng.integers(1, 3, n_batch), 2.5)
+    if kind == "shared":
+        ref = rng.standard_normal(n_ref)
+        fresh = rng.standard_normal(n_batch) + shift
+        return ref, np.where(rng.random(n_batch) < 0.5, rng.choice(ref, n_batch), fresh)
+    draw = {
+        "normal": lambda n: rng.standard_normal(n),
+        "integer": lambda n: rng.integers(-2, 3, n).astype(float),
+        "onehot": lambda n: (rng.random(n) < 0.3).astype(float),
+        "rounded": lambda n: np.round(rng.standard_normal(n), 1),
+    }[kind]
+    return draw(n_ref), draw(n_batch) + np.round(shift)
+
+
+def _spoil(column, rate, rng):
+    """Replace a share of the entries with NaN, inf or -inf."""
+    hit = rng.random(len(column)) < rate
+    column[hit] = rng.choice(NONFINITE, int(hit.sum()))
+    return column
+
+
+def _expected(reference, batch, threshold):
+    """Per-feature statistics from the pooled grid and the constant-mass rule."""
+    stats = np.zeros(reference.shape[1])
+    skipped = []
+    for j in range(reference.shape[1]):
+        ref = np.sort(reference[np.isfinite(reference[:, j]), j])
+        values = np.sort(batch[np.isfinite(batch[:, j]), j])
+        if len(ref) == 0 or len(values) == 0:
+            skipped.append(j)
+        elif ref[0] == ref[-1]:
+            moved = ~np.isclose(values, ref[0], rtol=_CONST_RTOL, atol=_CONST_ATOL)
+            stats[j] = float(moved.mean())
+        else:
+            stats[j] = _ks_from_sorted(ref, values)
+    return stats, np.flatnonzero(stats > threshold).tolist(), skipped
+
+
+@st.composite
+def drift_cases(draw):
+    n_ref = draw(st.integers(1, 40))
+    n_batch = draw(st.sampled_from(["zero", "one", "below", "equal", "above", "any"]))
+    n_batch = {
+        "zero": 0, "one": 1, "below": max(n_ref - 1, 0), "equal": n_ref,
+        "above": n_ref + draw(st.integers(1, 30)), "any": draw(st.integers(0, 80)),
+    }[n_batch]
+    kinds = draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=6))
+    shifts = draw(st.lists(st.sampled_from([0.0, 0.5, 3.0]), min_size=len(kinds),
+                           max_size=len(kinds)))
+    rates = draw(st.lists(st.sampled_from([0.0, 0.0, 0.2, 1.0]), min_size=2 * len(kinds),
+                          max_size=2 * len(kinds)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    reference = np.empty((n_ref, len(kinds)))
+    batch = np.empty((n_batch, len(kinds)))
+    for j, (kind, shift) in enumerate(zip(kinds, shifts)):
+        ref, live = _columns(kind, n_ref, n_batch, shift, rng)
+        reference[:, j] = _spoil(ref, rates[2 * j], rng)
+        batch[:, j] = _spoil(live, rates[2 * j + 1], rng)
+    return reference, batch
+
+
+class TestBatchedKernel:
+    """``check`` evaluates both ECDFs at the smaller sample's points only; every
+    statistic must still equal the pooled-grid one bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=drift_cases(), threshold=st.sampled_from([0.1, 0.2, 0.5]))
+    def test_check_matches_pooled_grid_bitwise(self, case, threshold):
+        reference, batch = case
+        report = DriftMonitor(threshold=threshold, max_reference=len(reference)) \
+            .fit(reference).check(batch)
+        stats, drifted, skipped = _expected(reference, batch, threshold)
+        assert report.statistics.tobytes() == stats.tobytes()
+        assert report.drifted_features == drifted
+        assert report.skipped_features == skipped
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=drift_cases())
+    def test_ks_statistic_matches_pooled_grid_bitwise(self, case):
+        reference, batch = case
+        a = reference[np.isfinite(reference)]
+        b = batch[np.isfinite(batch)]
+        if len(a) == 0 or len(b) == 0:
+            with pytest.raises(ValueError):
+                ks_statistic(a, b)
+            return
+        want = _ks_from_sorted(np.sort(a), np.sort(b))
+        assert np.float64(ks_statistic(a, b)).tobytes() == np.float64(want).tobytes()
+        assert np.float64(ks_statistic(b, a)).tobytes() == np.float64(want).tobytes()

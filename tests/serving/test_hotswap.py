@@ -71,6 +71,23 @@ class TestInProcessSwap:
             X = split.X_test[start:start + 100]
             assert_batches_equal(pipe.process(X), fresh.process(X))
 
+    def test_swapped_drift_monitor_matches_fresh_pipeline_bitwise(self, split, models):
+        model_a, model_b = models
+        # More rows than the monitor keeps, so it draws a subsample.
+        reference = np.concatenate([split.X_unlabeled + 0.01 * i for i in range(3)])
+        assert len(reference) > 2000
+        pipe = ScoringPipeline(model_a, policy="f1")
+        pipe.calibrate(split.X_val, split.y_val_binary, X_reference=reference)
+        pipe.swap_model(model_b, split.X_val, split.y_val_binary,
+                        X_reference=reference)
+        fresh = ScoringPipeline(model_b, policy="f1")
+        fresh.calibrate(split.X_val, split.y_val_binary, X_reference=reference)
+
+        probe = split.X_test[:64]
+        got, want = pipe.process(probe).drift, fresh.process(probe).drift
+        assert got.statistics.tobytes() == want.statistics.tobytes()
+        assert got.drifted_features == want.drifted_features
+
     def test_swap_emits_telemetry(self, split, models):
         from repro.obs import TelemetryRegistry
 
