@@ -26,6 +26,15 @@ Design notes
 - Backward rules are module-level functions bound into tiny
   :class:`_Backward` records (``__slots__`` objects) instead of per-op
   closures, cutting allocation overhead on the training path.
+- A rule that allocates a fresh gradient array (a matmul, an elementwise
+  product) hands it to :meth:`Tensor._accumulate` as *owned*, so it is
+  stored without the defensive copy that pass-through gradients (add,
+  sub, reshape) and broadcast views still get.
+- Hot chains have single-node forms: :meth:`Tensor.dense` (Dense with an
+  optional ReLU) here, and the row-wise losses in :mod:`repro.nn.losses`.
+  Each runs the unfused op sequence in its forward and replays the
+  unfused backward rules in the same order, so values and gradients are
+  bitwise those of the chain it replaces.
 """
 
 from __future__ import annotations
@@ -71,6 +80,19 @@ def no_grad():
 
 def _as_array(value: ArrayLike) -> B.ndarray:
     return B.asarray(value)
+
+
+def log_softmax_arrays(data: B.ndarray, axis: int) -> Tuple[B.ndarray, B.ndarray]:
+    """``(log_softmax, softmax)`` of ``data`` along ``axis``, max-shifted.
+
+    The forward of :meth:`Tensor.log_softmax`, shared with the
+    single-node losses of :mod:`repro.nn.losses` so both compute the
+    same values.
+    """
+    shifted = data - B.amax(data, axis=axis, keepdims=True)
+    log_norm = B.log(B.exp(shifted).sum(axis=axis, keepdims=True))
+    out_data = shifted - log_norm
+    return out_data, B.exp(out_data)
 
 
 def _unbroadcast(grad: B.ndarray, shape: tuple) -> B.ndarray:
@@ -191,10 +213,17 @@ class Tensor:
             out._backward = _Backward(rule, state)
         return out
 
-    def _accumulate(self, grad: B.ndarray) -> None:
+    def _accumulate(self, grad: B.ndarray, owned: bool = False) -> None:
+        """Add ``grad`` into ``self.grad``.
+
+        ``owned`` marks an array the calling rule has just allocated and
+        keeps no other reference to; it becomes ``self.grad`` as is.
+        Anything else (an upstream gradient passed through, a view) is
+        copied first, so no two tensors ever share a gradient buffer.
+        """
         grad = _unbroadcast(B.asarray(grad), self.data.shape)
         if self.grad is None:
-            self.grad = grad.copy()
+            self.grad = grad if owned else grad.copy()
         else:
             self.grad = self.grad + grad
 
@@ -297,6 +326,31 @@ class Tensor:
         return Tensor._make(
             B.matmul(self.data, other.data), (self, other), _matmul_backward, (self, other)
         )
+
+    @staticmethod
+    def dense(
+        x: "Tensor",
+        weight: "Tensor",
+        bias: Optional["Tensor"] = None,
+        relu: bool = False,
+    ) -> "Tensor":
+        """``x @ weight + bias``, optionally followed by ReLU, as one node.
+
+        The forward runs the unfused ops in order (matmul, bias add, then
+        the ReLU mask and product), and the backward replays their rules,
+        so values and gradients are bitwise those of the two or three
+        separate nodes. ``bias=None`` skips the add.
+        """
+        x = x if isinstance(x, Tensor) else Tensor(x)
+        out = B.matmul(x.data, weight.data)
+        if bias is not None:
+            out = out + bias.data
+        mask = None
+        if relu:
+            mask = B.as_float(out > 0)
+            out = out * mask
+        parents = (x, weight) if bias is None else (x, weight, bias)
+        return Tensor._make(out, parents, _dense_backward, (x, weight, bias, mask))
 
     # ------------------------------------------------------------------
     # Reductions
@@ -432,10 +486,7 @@ class Tensor:
     # Softmax family (fused for numerical stability)
     # ------------------------------------------------------------------
     def log_softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self.data - B.amax(self.data, axis=axis, keepdims=True)
-        log_norm = B.log(B.exp(shifted).sum(axis=axis, keepdims=True))
-        out_data = shifted - log_norm
-        softmax = B.exp(out_data)
+        out_data, softmax = log_softmax_arrays(self.data, axis)
         return Tensor._make(
             out_data, (self,), _log_softmax_backward, (self, softmax, axis)
         )
@@ -509,46 +560,59 @@ def _sub_backward(grad, a, b):
     if a.requires_grad:
         a._accumulate(grad)
     if b.requires_grad:
-        b._accumulate(-grad)
+        b._accumulate(-grad, owned=True)
 
 
 def _mul_backward(grad, a, b):
     if a.requires_grad:
-        a._accumulate(grad * b.data)
+        a._accumulate(grad * b.data, owned=True)
     if b.requires_grad:
-        b._accumulate(grad * a.data)
+        b._accumulate(grad * a.data, owned=True)
 
 
 def _div_backward(grad, a, b):
     if a.requires_grad:
-        a._accumulate(grad / b.data)
+        a._accumulate(grad / b.data, owned=True)
     if b.requires_grad:
-        b._accumulate(-grad * a.data / (b.data**2))
+        b._accumulate(-grad * a.data / (b.data**2), owned=True)
 
 
 def _neg_backward(grad, a):
     if a.requires_grad:
-        a._accumulate(-grad)
+        a._accumulate(-grad, owned=True)
 
 
 def _pow_backward(grad, a, exponent):
     if a.requires_grad:
-        a._accumulate(grad * exponent * B.power(a.data, exponent - 1.0))
+        a._accumulate(grad * exponent * B.power(a.data, exponent - 1.0), owned=True)
 
 
 def _matmul_backward(grad, a, b):
     if a.requires_grad:
         if b.data.ndim == 1:
             a._accumulate(
-                B.outer(grad, b.data) if grad.ndim == 1 else grad[..., None] * b.data
+                B.outer(grad, b.data) if grad.ndim == 1 else grad[..., None] * b.data,
+                owned=True,
             )
         else:
-            a._accumulate(B.matmul(grad, b.data.swapaxes(-1, -2)))
+            a._accumulate(B.matmul(grad, b.data.swapaxes(-1, -2)), owned=True)
     if b.requires_grad:
         if a.data.ndim == 1:
-            b._accumulate(B.outer(a.data, grad))
+            b._accumulate(B.outer(a.data, grad), owned=True)
         else:
-            b._accumulate(B.matmul(a.data.swapaxes(-1, -2), grad))
+            b._accumulate(B.matmul(a.data.swapaxes(-1, -2), grad), owned=True)
+
+
+def _dense_backward(grad, x, weight, bias, mask):
+    """The unfused rules of :meth:`Tensor.dense`, in their graph order:
+    the ReLU mask, the bias add, then the matmul (x before weight)."""
+    upstream = grad
+    if mask is not None:
+        grad = grad * mask
+    if bias is not None and bias.requires_grad:
+        bias_grad = _unbroadcast(grad, bias.data.shape)
+        bias._accumulate(bias_grad, owned=bias_grad is not upstream)
+    _matmul_backward(grad, x, weight)
 
 
 def _sum_backward(grad, a, axis, keepdims):
@@ -566,7 +630,7 @@ def _mean_backward(grad, a, axis, keepdims, count):
     g = grad
     if axis is not None and not keepdims:
         g = B.expand_dims(g, axis=axis)
-    a._accumulate(B.broadcast_to(g, a.data.shape) / count)
+    a._accumulate(B.broadcast_to(g, a.data.shape) / count, owned=True)
 
 
 def _extremum_backward(grad, a, axis, keepdims, out_data):
@@ -582,76 +646,76 @@ def _extremum_backward(grad, a, axis, keepdims, out_data):
     mask /= B.maximum(
         mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum(), 1.0
     )
-    a._accumulate(B.broadcast_to(g, a.data.shape) * mask)
+    a._accumulate(B.broadcast_to(g, a.data.shape) * mask, owned=True)
 
 
 def _where_backward(grad, condition, a, b):
     if a.requires_grad:
-        a._accumulate(grad * condition)
+        a._accumulate(grad * condition, owned=True)
     if b.requires_grad:
-        b._accumulate(grad * ~condition)
+        b._accumulate(grad * ~condition, owned=True)
 
 
 def _pairwise_extremum_backward(grad, a, b, a_wins, tie):
     if a.requires_grad:
-        a._accumulate(grad * (a_wins + 0.5 * tie))
+        a._accumulate(grad * (a_wins + 0.5 * tie), owned=True)
     if b.requires_grad:
-        b._accumulate(grad * (~a_wins & ~tie) + grad * 0.5 * tie)
+        b._accumulate(grad * (~a_wins & ~tie) + grad * 0.5 * tie, owned=True)
 
 
 def _exp_backward(grad, a, out_data):
     if a.requires_grad:
-        a._accumulate(grad * out_data)
+        a._accumulate(grad * out_data, owned=True)
 
 
 def _log_backward(grad, a):
     if a.requires_grad:
-        a._accumulate(grad / a.data)
+        a._accumulate(grad / a.data, owned=True)
 
 
 def _sqrt_backward(grad, a, out_data):
     if a.requires_grad:
-        a._accumulate(grad * 0.5 / out_data)
+        a._accumulate(grad * 0.5 / out_data, owned=True)
 
 
 def _abs_backward(grad, a):
     if a.requires_grad:
-        a._accumulate(grad * B.sign(a.data))
+        a._accumulate(grad * B.sign(a.data), owned=True)
 
 
 def _tanh_backward(grad, a, out_data):
     if a.requires_grad:
-        a._accumulate(grad * (1.0 - out_data**2))
+        a._accumulate(grad * (1.0 - out_data**2), owned=True)
 
 
 def _sigmoid_backward(grad, a, out_data):
     if a.requires_grad:
-        a._accumulate(grad * out_data * (1.0 - out_data))
+        a._accumulate(grad * out_data * (1.0 - out_data), owned=True)
 
 
 def _masked_backward(grad, a, factor):
     """Shared rule for ops whose derivative is a precomputed factor
     (relu/leaky-relu masks, clip's pass-through mask, softplus' sigmoid)."""
     if a.requires_grad:
-        a._accumulate(grad * factor)
+        a._accumulate(grad * factor, owned=True)
 
 
 def _log_softmax_backward(grad, a, softmax, axis):
     if a.requires_grad:
-        a._accumulate(grad - softmax * grad.sum(axis=axis, keepdims=True))
+        a._accumulate(grad - softmax * grad.sum(axis=axis, keepdims=True), owned=True)
 
 
 def _softmax_backward(grad, a, out_data, axis):
     if a.requires_grad:
         inner = (grad * out_data).sum(axis=axis, keepdims=True)
-        a._accumulate(out_data * (grad - inner))
+        a._accumulate(out_data * (grad - inner), owned=True)
 
 
 def _logsumexp_backward(grad, a, softmax, axis, keepdims):
     if not a.requires_grad:
         return
     g = grad if keepdims else B.expand_dims(grad, axis=axis)
-    a._accumulate(g * softmax)
+    a._accumulate(g * softmax, owned=True)
 
 
 def _reshape_backward(grad, a):
@@ -668,7 +732,7 @@ def _getitem_backward(grad, a, index):
     if a.requires_grad:
         full = B.zeros_like(a.data)
         B.index_add(full, index, grad)
-        a._accumulate(full)
+        a._accumulate(full, owned=True)
 
 
 def _concatenate_backward(grad, tensors, offsets, axis):

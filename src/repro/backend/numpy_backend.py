@@ -18,6 +18,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.backend.policy import TRAINING_DTYPE
+
 # -- in-place activation kernels ----------------------------------------
 # Used by the compiled inference path and the fused Dense+activation
 # kernel below. Each kernel owns its argument (works in place) and must
@@ -95,15 +97,11 @@ class NumpyBackend:
 
     # -- construction / casting ----------------------------------------
     def asarray(self, value, dtype=None) -> np.ndarray:
-        from repro.backend.policy import training_dtype
-
-        return np.asarray(value, dtype=training_dtype() if dtype is None else dtype)
+        return np.asarray(value, dtype=TRAINING_DTYPE if dtype is None else dtype)
 
     def as_float(self, value) -> np.ndarray:
         """Cast to the training float dtype (masks -> 0.0/1.0)."""
-        from repro.backend.policy import training_dtype
-
-        return np.asarray(value).astype(training_dtype())
+        return np.asarray(value).astype(TRAINING_DTYPE)
 
     def as_bool(self, value) -> np.ndarray:
         return np.asarray(value, dtype=bool)
@@ -115,9 +113,7 @@ class NumpyBackend:
         return np.ones_like(x)
 
     def empty(self, shape, dtype=None) -> np.ndarray:
-        from repro.backend.policy import training_dtype
-
-        return np.empty(shape, dtype=training_dtype() if dtype is None else dtype)
+        return np.empty(shape, dtype=TRAINING_DTYPE if dtype is None else dtype)
 
     # -- elementwise ----------------------------------------------------
     def exp(self, x) -> np.ndarray:

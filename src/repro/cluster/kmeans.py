@@ -11,6 +11,19 @@ from typing import Optional
 import numpy as np
 
 
+def _as_matrix(X) -> np.ndarray:
+    """``X`` as float64, copied to C order if it is a non-contiguous view.
+
+    Contiguous input reaches ``X @ centers.T`` in the layout that ``2·X``
+    had when the distance formula doubled ``X`` before the product, so
+    doubling after it gives bitwise the same distances.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if not (X.flags.c_contiguous or X.flags.f_contiguous):
+        X = np.ascontiguousarray(X)
+    return X
+
+
 class KMeans:
     """k-means clustering.
 
@@ -64,21 +77,40 @@ class KMeans:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _pairwise_sq_dists(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
-        """Squared Euclidean distances, ``(n, k)``."""
+    def _row_sq_norms(X: np.ndarray) -> np.ndarray:
+        """``||x||²`` per row, as an ``(n, 1)`` column."""
+        # The column outlives the fit's calls; allocating it before the
+        # squared temporary lets the heap return the temporary's pages.
+        out = np.empty((len(X), 1))
+        np.sum(X**2, axis=1, out=out[:, 0])
+        return out
+
+    @staticmethod
+    def _pairwise_sq_dists(
+        X: np.ndarray, centers: np.ndarray, x_sq: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Squared Euclidean distances, ``(n, k)``.
+
+        ``x_sq`` is :meth:`_row_sq_norms` of ``X``, computed here when not
+        given; a fit computes it once for all its calls.
+        """
         # ||x - c||² = ||x||² - 2 x·c + ||c||²; clip tiny negatives from rounding.
-        x_sq = (X**2).sum(axis=1)[:, None]
+        # Doubling x·c is exact, so this equals (2x)·c without copying 2·X.
+        if x_sq is None:
+            x_sq = KMeans._row_sq_norms(X)
         c_sq = (centers**2).sum(axis=1)[None, :]
-        d = x_sq - 2.0 * X @ centers.T + c_sq
+        d = x_sq - 2.0 * (X @ centers.T) + c_sq
         return np.maximum(d, 0.0)
 
-    def _init_plus_plus(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def _init_plus_plus(
+        self, X: np.ndarray, rng: np.random.Generator, x_sq: np.ndarray
+    ) -> np.ndarray:
         """k-means++ seeding (Arthur & Vassilvitskii, 2007)."""
         n = len(X)
         centers = np.empty((self.n_clusters, X.shape[1]))
         first = rng.integers(n)
         centers[0] = X[first]
-        closest = self._pairwise_sq_dists(X, centers[:1]).ravel()
+        closest = self._pairwise_sq_dists(X, centers[:1], x_sq).ravel()
         for i in range(1, self.n_clusters):
             total = closest.sum()
             if total <= 0:
@@ -88,13 +120,15 @@ class KMeans:
             probs = closest / total
             idx = rng.choice(n, p=probs)
             centers[i] = X[idx]
-            closest = np.minimum(closest, self._pairwise_sq_dists(X, centers[i : i + 1]).ravel())
+            closest = np.minimum(
+                closest, self._pairwise_sq_dists(X, centers[i : i + 1], x_sq).ravel()
+            )
         return centers
 
-    def _lloyd(self, X: np.ndarray, centers: np.ndarray, rng: np.random.Generator):
+    def _lloyd(self, X: np.ndarray, centers: np.ndarray, x_sq: np.ndarray):
         """Run Lloyd iterations from the given centers."""
         for iteration in range(1, self.max_iter + 1):
-            dists = self._pairwise_sq_dists(X, centers)
+            dists = self._pairwise_sq_dists(X, centers, x_sq)
             labels = dists.argmin(axis=1)
             new_centers = centers.copy()
             for j in range(self.n_clusters):
@@ -110,7 +144,7 @@ class KMeans:
             centers = new_centers
             if shift <= self.tol:
                 break
-        dists = self._pairwise_sq_dists(X, centers)
+        dists = self._pairwise_sq_dists(X, centers, x_sq)
         labels = dists.argmin(axis=1)
         inertia = float(dists[np.arange(len(X)), labels].sum())
         return centers, labels, inertia, iteration
@@ -118,16 +152,17 @@ class KMeans:
     # ------------------------------------------------------------------
     def fit(self, X: np.ndarray) -> "KMeans":
         """Cluster the rows of ``X``."""
-        X = np.asarray(X, dtype=np.float64)
+        X = _as_matrix(X)
         if X.ndim != 2:
             raise ValueError("X must be 2-dimensional")
         if len(X) < self.n_clusters:
             raise ValueError(f"n_samples={len(X)} < n_clusters={self.n_clusters}")
         rng = np.random.default_rng(self.random_state)
+        x_sq = self._row_sq_norms(X)
         best = None
         for _ in range(self.n_init):
-            centers = self._init_plus_plus(X, rng)
-            centers, labels, inertia, n_iter = self._lloyd(X, centers, rng)
+            centers = self._init_plus_plus(X, rng, x_sq)
+            centers, labels, inertia, n_iter = self._lloyd(X, centers, x_sq)
             if best is None or inertia < best[2]:
                 best = (centers, labels, inertia, n_iter)
         self.cluster_centers_, self.labels_, self.inertia_, self.n_iter_ = best
@@ -137,7 +172,7 @@ class KMeans:
         """Assign rows of ``X`` to the nearest learned centroid."""
         if self.cluster_centers_ is None:
             raise RuntimeError("KMeans is not fitted; call fit() first")
-        X = np.asarray(X, dtype=np.float64)
+        X = _as_matrix(X)
         return self._pairwise_sq_dists(X, self.cluster_centers_).argmin(axis=1)
 
     def fit_predict(self, X: np.ndarray) -> np.ndarray:
@@ -148,5 +183,5 @@ class KMeans:
         """Distances (not squared) from each row to each centroid."""
         if self.cluster_centers_ is None:
             raise RuntimeError("KMeans is not fitted; call fit() first")
-        X = np.asarray(X, dtype=np.float64)
+        X = _as_matrix(X)
         return np.sqrt(self._pairwise_sq_dists(X, self.cluster_centers_))

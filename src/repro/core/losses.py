@@ -100,14 +100,32 @@ def classifier_loss(
 
     All ``X_*`` arguments are batch slices; empty slices are tolerated
     everywhere except for a batch that is empty in *all three* pools.
+    The network runs once, over the non-empty pools stacked row-wise
+    (candidates only when ``L_OE`` is on), and each term reads its rows
+    of the logits.
     """
-    logits_labeled = network(Tensor(X_labeled)) if len(X_labeled) else None
-    logits_normal = network(Tensor(X_normal)) if len(X_normal) else None
+    with_oe = use_oe and lambda1 > 0 and len(X_candidates) > 0
+    pools = [X_labeled, X_normal] + ([X_candidates] if with_oe else [])
+    logits = _pool_logits(network, pools)
+    logits_labeled, logits_normal = logits[0], logits[1]
 
     loss = cross_entropy_term(logits_labeled, targets_labeled, logits_normal, targets_normal)
-    if use_oe and lambda1 > 0 and len(X_candidates):
-        logits_candidates = network(Tensor(X_candidates))
-        loss = loss + lambda1 * outlier_exposure_term(logits_candidates, ood_targets, weights)
+    if with_oe:
+        loss = loss + lambda1 * outlier_exposure_term(logits[2], ood_targets, weights)
     if use_re and lambda2 > 0:
         loss = loss + lambda2 * entropy_regularizer_term(logits_labeled, logits_normal)
     return loss
+
+
+def _pool_logits(network: Module, pools: list) -> list:
+    """One forward over the non-empty pools; their logits (``None`` if empty)."""
+    sizes = [len(pool) for pool in pools]
+    filled = [pool for pool in pools if len(pool)]
+    if not filled:
+        return [None] * len(pools)
+    logits = network(Tensor(np.concatenate(filled)))
+    out, start = [], 0
+    for size in sizes:
+        out.append(logits[start : start + size] if size else None)
+        start += size
+    return out

@@ -82,10 +82,7 @@ class Dense(Module):
         self.bias = Tensor(np.zeros(out_features), requires_grad=True) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return Tensor.dense(x, self.weight, self.bias)
 
     def parameters(self) -> List[Tensor]:
         params = [self.weight]
@@ -118,14 +115,31 @@ class Activation(Module):
 
 
 class Sequential(Module):
-    """Chain of modules applied in order."""
+    """Chain of modules applied in order.
+
+    A ``Dense`` directly followed by a ReLU ``Activation`` runs as one
+    :meth:`Tensor.dense` node; every other module runs on its own.
+    """
 
     def __init__(self, *modules: Module):
         self.modules = list(modules)
 
     def forward(self, x: Tensor) -> Tensor:
-        for module in self.modules:
-            x = module(x)
+        modules = self.modules
+        i = 0
+        while i < len(modules):
+            module = modules[i]
+            after = modules[i + 1] if i + 1 < len(modules) else None
+            if (
+                type(module) is Dense
+                and type(after) is Activation
+                and after.name == "relu"
+            ):
+                x = Tensor.dense(x, module.weight, module.bias, relu=True)
+                i += 2
+            else:
+                x = module(x)
+                i += 1
         return x
 
     def parameters(self) -> List[Tensor]:
