@@ -7,12 +7,8 @@
 #   scripts/ci.sh tier1    # tier-1 gate only
 #   scripts/ci.sh chaos    # chaos lane only (-m chaos fault-injection scenarios)
 #   scripts/ci.sh taxonomy # anomaly-taxonomy lane (-m taxonomy injector/sweep tests)
-#   scripts/ci.sh shard    # multi-process sharding tests (2-worker pools)
-#   scripts/ci.sh daemon   # serving daemon + shm ring suites + replay smoke
-#   scripts/ci.sh executor # executor conformance suite (2-worker pools)
 #   scripts/ci.sh lifecycle # drift-triggered refit + hot-swap suites + CLI smoke
-#   scripts/ci.sh backend  # backend conformance + parity under numpy AND tiled
-#   scripts/ci.sh bench    # inference throughput benchmark (non-gating)
+#   scripts/ci.sh backend  # numpy backend conformance, fused kernels, plan cache
 #   scripts/ci.sh perfbench # benchmark self-test + 3 s runs of every workload
 #
 # The tier-1 gate is the canonical `PYTHONPATH=src python -m pytest -x -q`
@@ -78,47 +74,11 @@ run_taxonomy() {
     python -m pytest -x -q -m taxonomy
 }
 
-run_shard() {
-    # The serving fast-path suites: sharded pipelines spin up real
-    # 2-worker process pools, so this lane exercises true multi-process
-    # scoring plus the plan cache and fused kernels they depend on.
-    echo '== shard lane: multi-process sharding + serving fast path =='
-    python -m pytest -x -q tests/serving/test_sharding.py \
-        tests/nn/test_plan_cache.py tests/nn/test_fused_kernels.py
-}
-
-run_daemon() {
-    # The always-on serving lane: daemon parity/failure tests and the
-    # ring-buffer property suite spin up real worker pools over shared
-    # memory, and the soak test cycles 25 daemon lifecycles across fork
-    # and spawn. Includes the `slow`-marked pieces (2-worker replay
-    # smoke, soak) that the fast lane skips, plus a shrunken open-loop
-    # traffic replay through the bench harness as an end-to-end smoke.
-    echo '== daemon lane: serving daemon + shm rings + replay smoke =='
-    python -m pytest -x -q tests/serving/test_daemon.py \
-        tests/serving/test_ring_properties.py \
-        tests/serving/test_daemon_soak.py
-    python scripts/bench_replay.py --smoke --out /tmp/bench_replay_smoke.json
-}
-
-run_executor() {
-    # The execution-layer lane: the conformance suite holds every
-    # executor (inline / sharded / daemon / striped daemon) to one
-    # contract — bitwise parity with inline incl. post-swap, infra
-    # faults demoting down the chain without touching the breaker,
-    # model faults propagating into it, update_spec visibility,
-    # idempotent close — with real 2-worker pools, plus the zero-copy
-    # result-read regressions the daemon path depends on.
-    echo '== executor lane: conformance across execution paths =='
-    python -m pytest -x -q tests/serving/test_executor_conformance.py \
-        tests/serving/test_zero_copy.py
-}
-
 run_lifecycle() {
     # The continual-learning lane: drift-triggered refit + zero-downtime
     # hot-swap. Covers the LifecycleManager loop, the hot-swap integration
-    # suite (plain / daemon / sharded pipelines, bitwise post-swap parity,
-    # concurrent-traffic atomicity), drift-monitor robustness regressions,
+    # suite (bitwise post-swap parity, concurrent-traffic atomicity,
+    # rollback at stage and flip), drift-monitor robustness regressions,
     # checkpoint housekeeping, and the swap-phase chaos scenarios. Ends
     # with a CLI drift-replay smoke on a tiny split.
     echo '== lifecycle lane: drift-triggered refit + hot-swap =='
@@ -132,120 +92,16 @@ run_lifecycle() {
 
 run_backend() {
     # The execution-backend lane: the registry-parametrized conformance
-    # suite (compiled-vs-graph parity under every registered backend at
-    # its published parity_atol), the tiled kernel unit tests (sparse
-    # gather path, verification fallbacks, plan/scratch caching), the
-    # fused-kernel dispatch suite, the backend-keyed plan cache, and the
-    # end-to-end parity suite — which runs TargAD scoring under
-    # use_backend("tiled") as well as the default.
-    echo '== backend lane: conformance under numpy + tiled =='
+    # suite (compiled-vs-graph parity under the numpy backend at its
+    # published parity_atol, plus switching to a test-local second
+    # backend), the backend registry tests, the fused-kernel dispatch
+    # suite, the backend-keyed plan cache, and the end-to-end parity
+    # suite.
+    echo '== backend lane: numpy backend conformance =='
     python -m pytest -x -q tests/backend \
         tests/nn/test_backend_conformance.py \
         tests/nn/test_fused_kernels.py tests/nn/test_plan_cache.py \
         tests/test_inference_parity.py
-}
-
-run_bench() {
-    # Non-gating: records graph vs compiled inference throughput in
-    # BENCH_inference.json for trend tracking; never fails the build.
-    # A compiled-speedup regression below the recorded baseline floors
-    # (scripts/bench_baseline.json) is announced loudly — a GitHub
-    # ::warning annotation when supported, stderr always — but still
-    # does not gate.
-    echo '== bench lane: inference throughput (non-gating) =='
-    python scripts/bench_inference.py || echo "bench lane failed (non-gating)"
-    python scripts/bench_replay.py || echo "replay bench failed (non-gating)"
-    python - <<'EOF' || true
-import json, sys
-from pathlib import Path
-
-try:
-    baseline = json.loads(Path("scripts/bench_baseline.json").read_text())
-    payload = json.loads(Path("BENCH_inference.json").read_text())
-except OSError as exc:
-    print(f"bench baseline check skipped: {exc}", file=sys.stderr)
-    raise SystemExit(0)
-speedups = {
-    row["workload"]: row.get("speedup_compiled_vs_graph")
-    for row in payload["results"]
-}
-for workload in ("autoencoder_fallback", "classifier_head"):
-    floor = baseline.get(f"{workload}_speedup_min")
-    got = speedups.get(workload)
-    if floor is None or got is None:
-        continue
-    if got < floor:
-        message = (
-            f"compiled inference speedup regression: {workload} at "
-            f"{got}x, baseline floor {floor}x (non-gating)"
-        )
-        # GitHub-style annotation so the regression is loud in CI UIs;
-        # plain stderr everywhere else.
-        print(f"::warning title=bench regression::{message}")
-        print(f"WARNING: {message}", file=sys.stderr)
-    else:
-        print(f"bench check: {workload} {got}x >= floor {floor}x")
-
-# Tiled-backend rows: the sparse-aware kernel's best win over the
-# reference backend on the SQB one-hot workloads must stay above its
-# recorded floor (non-gating, like everything in this lane).
-tiled_floor = baseline.get("tiled_vs_numpy_speedup_min")
-tiled_best = payload.get("tiled_speedup_vs_numpy_max")
-if tiled_floor is not None and tiled_best is not None:
-    if tiled_best < tiled_floor:
-        message = (
-            f"tiled backend regression: best tiled-vs-numpy speedup "
-            f"{tiled_best}x, baseline floor {tiled_floor}x (non-gating)"
-        )
-        print(f"::warning title=bench regression::{message}")
-        print(f"WARNING: {message}", file=sys.stderr)
-    else:
-        print(f"bench check: tiled-vs-numpy {tiled_best}x >= "
-              f"floor {tiled_floor}x")
-
-# Latency-under-load rows from bench_replay.py: the daemon's best
-# throughput speedup over the single-process baseline must stay above
-# its recorded floor, and every replay row must carry latency data.
-replay = payload.get("traffic_replay")
-floor = baseline.get("replay_daemon_speedup_min")
-if replay and floor is not None:
-    best = replay.get("daemon_speedup_best")
-    if best is None or best < floor:
-        message = (
-            f"traffic-replay regression: daemon best speedup {best}x "
-            f"under load, baseline floor {floor}x (non-gating)"
-        )
-        print(f"::warning title=bench regression::{message}")
-        print(f"WARNING: {message}", file=sys.stderr)
-    else:
-        print(f"bench check: replay daemon {best}x >= floor {floor}x")
-    striped_floor = baseline.get("replay_striped_daemon_speedup_min")
-    best_striped = replay.get("striped_speedup_best")
-    if striped_floor is not None and best_striped is not None:
-        if best_striped < striped_floor:
-            message = (
-                f"traffic-replay regression: striped daemon at "
-                f"{best_striped}x vs plain daemon, baseline floor "
-                f"{striped_floor}x (non-gating)"
-            )
-            print(f"::warning title=bench regression::{message}")
-            print(f"WARNING: {message}", file=sys.stderr)
-        else:
-            print(f"bench check: striped daemon {best_striped}x >= "
-                  f"floor {striped_floor}x")
-    for row in replay.get("results", ()):
-        for mode in ("single", "daemon", "striped"):
-            d = row.get(mode)
-            if d is None:
-                continue
-            if not d.get("latency_p99_ms"):
-                message = (
-                    f"traffic-replay row {row.get('workload')}/{mode} "
-                    "missing p99 latency (non-gating)"
-                )
-                print(f"::warning title=bench regression::{message}")
-                print(f"WARNING: {message}", file=sys.stderr)
-EOF
 }
 
 case "$lane" in
@@ -253,13 +109,9 @@ case "$lane" in
     fast)  run_fast ;;
     chaos) run_chaos ;;
     taxonomy) run_taxonomy ;;
-    shard) run_shard ;;
-    daemon) run_daemon ;;
-    executor) run_executor ;;
     lifecycle) run_lifecycle ;;
     backend) run_backend ;;
-    bench) run_bench ;;
     perfbench) run_perfbench ;;
     all)   run_tier1; run_fast; run_perfbench_selftest ;;
-    *)     echo "usage: scripts/ci.sh [tier1|fast|chaos|taxonomy|shard|daemon|executor|lifecycle|backend|bench|perfbench|all]" >&2; exit 2 ;;
+    *)     echo "usage: scripts/ci.sh [tier1|fast|chaos|taxonomy|lifecycle|backend|perfbench|all]" >&2; exit 2 ;;
 esac

@@ -8,9 +8,8 @@ array math is performed from *how*:
   autodiff engine calls (``from repro.backend import ops as B``);
 - :mod:`repro.backend.registry` — named backends, one active at a time
   (:func:`register_backend`, :func:`set_backend`, :func:`use_backend`);
-- :mod:`repro.backend.numpy_backend` — the reference implementation;
-- :mod:`repro.backend.tiled` — a cache-blocked, sparsity-aware backend
-  (threaded row tiles, one-hot gather kernel) registered as ``"tiled"``;
+- :mod:`repro.backend.numpy_backend` — the implementation, registered
+  as ``"numpy"`` and active by default;
 - :mod:`repro.backend.policy` — the dtype policy: training/grad checks
   are pinned to ``float64``, inference may opt into ``float32``
   (:func:`inference_precision`, or the ``dtype=`` argument on the
@@ -34,13 +33,9 @@ from repro.backend.registry import (
     set_backend,
     use_backend,
 )
-from repro.backend.tiled import TiledBackend
-
-register_backend("tiled", TiledBackend())
 
 __all__ = [
     "NumpyBackend",
-    "TiledBackend",
     "TRAINING_DTYPE",
     "active_backend",
     "backend_names",

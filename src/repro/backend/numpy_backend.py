@@ -83,8 +83,8 @@ class NumpyBackend:
 
     #: Compiled-vs-graph parity tolerance this backend guarantees. The
     #: reference backend computes the exact op sequence of the autodiff
-    #: graph, so parity is bitwise; backends that reorder summation
-    #: (e.g. the tiled backend's sparse path) publish a nonzero atol.
+    #: graph, so parity is bitwise; a backend that reorders summation
+    #: (e.g. a sparse gather kernel) publishes a nonzero atol.
     parity_atol = 0.0
 
     #: Array type produced by this backend (used for isinstance checks and

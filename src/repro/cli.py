@@ -9,13 +9,11 @@ Subcommands::
     repro telemetry --dataset NAME [...]        # profile fit+serve, dashboard
     repro resilience --model PATH --dataset NAME [...]  # chaos replay
     repro taxonomy  [--grid smoke|full] [...]   # cross-family robustness sweep
-    repro serve-bench --dataset NAME [...]      # executor latency-under-load replay
     repro lifecycle --dataset NAME [...]        # drift-triggered refit + hot-swap replay
+    repro report    --output PATH [...]         # markdown experiment report
 
-Serving commands select the execution path with the same ``executor=``
-presets as :class:`repro.serving.ScoringPipeline` (``inline``,
-``sharded``, ``daemon``, ``striped_daemon``) plus the striping /
-adaptive micro-batching knobs, rather than raw constructor flags.
+Serving commands score in-process through
+:class:`repro.serving.ScoringPipeline` on the default numeric backend.
 
 Every command is deterministic under ``--seed``.
 """
@@ -129,13 +127,6 @@ def cmd_compare(args) -> int:
 
 def cmd_telemetry(args) -> int:
     """Profile one fit + serve cycle and print the telemetry dashboard."""
-    from repro.backend import use_backend
-
-    with use_backend(args.backend):
-        return _telemetry_under_backend(args)
-
-
-def _telemetry_under_backend(args) -> int:
     import numpy as np
 
     from repro.obs import TelemetryRegistry, dump_json, render_dashboard
@@ -281,105 +272,6 @@ def cmd_taxonomy(args) -> int:
     return 0
 
 
-def _parse_batch_mix(text: str):
-    """Parse ``"16:0.5,64:0.35,256:0.15"`` into ``((16, 0.5), ...)``."""
-    entries = []
-    for part in text.split(","):
-        rows, _, weight = part.partition(":")
-        entries.append((int(rows), float(weight) if weight else 1.0))
-    return tuple(entries)
-
-
-def cmd_serve_bench(args) -> int:
-    """Replay open-loop traffic against the serving daemon vs single-process."""
-    from repro.backend import use_backend
-
-    with use_backend(args.backend):
-        return _serve_bench_under_backend(args)
-
-
-def _serve_bench_under_backend(args) -> int:
-    import numpy as np
-
-    from repro.serving.daemon import ServingDaemon
-    from repro.serving.replay import ReplaySpec, build_schedule, replay_daemon, replay_sync
-    from repro.serving.sharding import build_scoring_spec
-
-    spec = ReplaySpec(
-        name=args.dataset, rate_rps=args.rate, n_requests=args.requests,
-        batch_mix=_parse_batch_mix(args.batch_mix), seed=args.seed,
-    )
-    split = _load_split(args)
-    print(f"Fitting TargAD on {args.dataset} "
-          f"(n_unlabeled={len(split.X_unlabeled)}, seed={args.seed})...")
-    model = TargAD(TargADConfig(k=args.k, alpha=args.alpha, random_state=args.seed))
-    model.fit(split.X_unlabeled, split.X_labeled, split.y_labeled)
-    X_pool = np.asarray(split.X_test, dtype=np.float64)
-    schedule = build_schedule(spec, len(X_pool))
-    n_rows = sum(len(r.rows) for r in schedule)
-    print(f"Replaying {spec.n_requests} requests ({n_rows} rows) at "
-          f"{spec.rate_rps:g} req/s offered, batch mix {args.batch_mix} ...")
-
-    model.score_batch(X_pool[: min(64, len(X_pool))], strategy=args.strategy)
-    single = replay_sync(spec, schedule, X_pool,
-                         lambda X: model.score_batch(X, strategy=args.strategy))
-    print("  " + single.summary())
-
-    from repro.obs import TelemetryRegistry
-
-    registry = TelemetryRegistry()
-    if args.executor == "striped_daemon":
-        from repro.serving.executor import StripedDaemonExecutor
-
-        executor = StripedDaemonExecutor(
-            lambda: build_scoring_spec(model, args.strategy),
-            n_workers=args.workers, stripe_min_rows=args.stripe_min_rows,
-            adaptive_batch=args.adaptive_batch,
-            min_batch_rows=args.min_batch_rows, telemetry=registry,
-        )
-        try:
-            # Warm with a striping-sized batch so every worker compiles
-            # its plan before the clock starts.
-            executor.score(X_pool[: min(2 * args.stripe_min_rows, len(X_pool))])
-            result = replay_daemon(spec, schedule, X_pool, executor,
-                                   mode="striped_daemon")
-            slo = executor.daemon.slo_snapshot()
-        finally:
-            executor.close()
-    else:
-        scoring_spec = build_scoring_spec(model, args.strategy)
-        with ServingDaemon(scoring_spec, n_workers=args.workers,
-                           adaptive_batch=args.adaptive_batch,
-                           min_batch_rows=args.min_batch_rows,
-                           telemetry=registry) as daemon:
-            daemon.score(X_pool[: min(64, len(X_pool))])
-            result = replay_daemon(spec, schedule, X_pool, daemon)
-            slo = daemon.slo_snapshot()
-    print("  " + result.summary())
-    speedup = (result.rows_per_sec / single.rows_per_sec
-               if single.rows_per_sec else 0.0)
-    print(f"  daemon vs single: {speedup:.2f}x throughput, "
-          f"{single.percentile_ms(99) / max(result.percentile_ms(99), 1e-9):.2f}x p99")
-    print(f"  daemon SLO gauges: p50={slo['p50_ms']:.2f}ms "
-          f"p95={slo['p95_ms']:.2f}ms p99={slo['p99_ms']:.2f}ms "
-          f"({slo['requests']:g} requests in {slo['dispatches']:g} dispatches, "
-          f"{slo['coalesced']:g} coalesced)")
-    if args.json:
-        payload = {
-            "workload": spec.name,
-            "executor": args.executor,
-            "backend": args.backend,
-            "single": single.to_dict(),
-            "daemon": result.to_dict(),
-            "daemon_speedup_vs_single": round(speedup, 2),
-        }
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        print(f"Replay results written to {args.json}")
-    return 0
-
-
 def cmd_lifecycle(args) -> int:
     """Replay a drift scenario through the continual-learning loop."""
     import numpy as np
@@ -401,8 +293,7 @@ def cmd_lifecycle(args) -> int:
 
     registry = TelemetryRegistry()
     pipe = ScoringPipeline(model, policy="f1", telemetry=registry,
-                           drift_threshold=args.drift_threshold,
-                           executor=args.executor)
+                           drift_threshold=args.drift_threshold)
     pipe.calibrate(split.X_val, split.y_val_binary,
                    X_reference=split.X_unlabeled)
 
@@ -459,7 +350,6 @@ def cmd_lifecycle(args) -> int:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
         print(f"Lifecycle results written to {args.json}")
-    pipe.close()  # tears down any daemon/shard workers the preset built
     return 0
 
 
@@ -518,9 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tel.add_argument("--batches", type=int, default=4,
                        help="serving batches the test split is processed in")
     p_tel.add_argument("--json", help="also dump the telemetry snapshot as JSON")
-    p_tel.add_argument("--backend", default="numpy",
-                       help="execution backend to profile under "
-                       "(a repro.backend registry name, e.g. 'tiled')")
     p_tel.set_defaults(func=cmd_telemetry)
 
     p_res = sub.add_parser(
@@ -567,43 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the sweep's telemetry dashboard")
     p_tax.set_defaults(func=cmd_taxonomy)
 
-    p_srv = sub.add_parser(
-        "serve-bench",
-        help="replay open-loop traffic against a daemon executor "
-        "(ScoringPipeline executor= presets 'daemon'/'striped_daemon')",
-    )
-    _add_split_args(p_srv)
-    p_srv.add_argument("--k", type=int, default=None, help="clusters (default: elbow)")
-    p_srv.add_argument("--alpha", type=float, default=0.05)
-    p_srv.add_argument("--strategy", default="ed", choices=["msp", "es", "ed"])
-    p_srv.add_argument("--rate", type=float, default=500.0,
-                       help="offered request rate (Poisson arrivals, req/s)")
-    p_srv.add_argument("--requests", type=int, default=400,
-                       help="number of requests to replay")
-    p_srv.add_argument("--batch-mix", default="16:0.5,64:0.35,256:0.15",
-                       help="rows:weight pairs, comma-separated")
-    p_srv.add_argument("--executor", default="daemon",
-                       choices=["daemon", "striped_daemon"],
-                       help="execution path to replay against: the plain "
-                       "always-on daemon, or the striped executor that "
-                       "splits large batches across idle workers "
-                       "(matches ScoringPipeline's executor= presets)")
-    p_srv.add_argument("--workers", type=int, default=1,
-                       help="daemon worker processes (striping needs >= 2)")
-    p_srv.add_argument("--stripe-min-rows", type=int, default=1024,
-                       help="smallest batch the striped executor splits")
-    p_srv.add_argument("--adaptive-batch", action="store_true",
-                       help="tune the coalescing ceiling from queue depth "
-                       "instead of a fixed max batch")
-    p_srv.add_argument("--min-batch-rows", type=int, default=64,
-                       help="adaptive micro-batching floor (rows)")
-    p_srv.add_argument("--json", help="write the replay results as JSON")
-    p_srv.add_argument("--backend", default="numpy",
-                       help="execution backend for scoring, parent and "
-                       "workers alike (a repro.backend registry name, "
-                       "e.g. 'tiled')")
-    p_srv.set_defaults(func=cmd_serve_bench)
-
     p_lc = sub.add_parser(
         "lifecycle",
         help="replay a drift scenario through the continual-learning loop",
@@ -611,11 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_split_args(p_lc)
     p_lc.add_argument("--k", type=int, default=None, help="clusters (default: elbow)")
     p_lc.add_argument("--alpha", type=float, default=0.05)
-    p_lc.add_argument("--executor", default="inline",
-                      choices=["inline", "sharded", "daemon", "striped_daemon"],
-                      help="ScoringPipeline executor= preset the drift "
-                      "scenario serves through (hot swaps push the new "
-                      "generation to whichever path is live)")
     p_lc.add_argument("--shift", type=float, default=4.0,
                       help="covariate shift applied to half the features")
     p_lc.add_argument("--batch-rows", type=int, default=64,

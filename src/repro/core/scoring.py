@@ -53,11 +53,9 @@ def route_from_logits(
     ``strategy`` may also be a zero-argument callable returning one —
     it is invoked only when anomalous rows exist, which lets
     :class:`TargAD` defer strategy calibration until routing actually
-    needs it. Shared by :meth:`TargAD.predict_triclass`/``score_batch``
-    and the sharded serving workers, which carry the fitted strategy in
-    their serialized scoring spec — one definition, identical routing
-    on both paths. Returns the kind codes of :mod:`repro.data.schema`
-    (0/1/2).
+    needs it. Shared by :meth:`TargAD.predict_triclass` and
+    ``score_batch`` — one definition, identical routing on both paths.
+    Returns the kind codes of :mod:`repro.data.schema` (0/1/2).
     """
     normal_mask = is_normal_rule(probs, m, k)
     result = np.full(len(logits), KIND_TARGET, dtype=np.int64)

@@ -13,8 +13,7 @@ story is judged on:
   evaluation slice from the shifted regime, measured after every batch,
   so the refit's recovery (and the pre-swap degradation) is visible.
 
-Used by ``repro lifecycle`` (CLI), ``examples/lifecycle_demo.py`` and
-the ``scripts/bench_replay.py`` drift scenario.
+Used by ``repro lifecycle`` (CLI) and ``examples/lifecycle_demo.py``.
 """
 
 from __future__ import annotations

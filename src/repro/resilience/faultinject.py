@@ -111,9 +111,9 @@ class FaultPlan:
 #: :class:`~repro.lifecycle.LifecycleManager` and
 #: ``ScoringPipeline.swap_model``. ``assemble``/``label``/``refit``/
 #: ``validate`` happen before any serving state is touched; ``stage``
-#: (build spec/threshold/fallback), ``push`` (re-push spec to daemon or
-#: shard workers) and ``flip`` (pointer swap) happen inside the swap.
-SWAP_PHASES = ("assemble", "label", "refit", "validate", "stage", "push", "flip")
+#: (build threshold/monitor/fallback) and ``flip`` (pointer swap) happen
+#: inside the swap.
+SWAP_PHASES = ("assemble", "label", "refit", "validate", "stage", "flip")
 
 
 @dataclass(frozen=True)

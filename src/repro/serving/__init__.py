@@ -16,72 +16,24 @@ are sanitized (bad rows quarantined, marked :data:`ROUTE_QUARANTINED` in
 the routing), and the primary scorer is guarded by a circuit breaker
 with a reconstruction-error fallback for degraded operation.
 
-Execution runs through the unified executor layer
-(:mod:`repro.serving.executor`): a
-:class:`~repro.serving.executor.FallbackChain` of
-:class:`~repro.serving.executor.Executor` adapters — always-on daemon
-(optionally striping large batches across its idle workers), per-batch
-shard pool, inline — where infrastructure failures demote a batch down
-the chain and model faults propagate to the circuit breaker uniformly.
-
-The underlying engines: :mod:`repro.serving.sharding` ships a picklable
-:class:`~repro.serving.sharding.ScoringSpec` snapshot of the fitted
-model to a process pool and merges contiguous row shards
-deterministically in input order;
-:class:`~repro.serving.daemon.ServingDaemon` keeps that spec *resident*
-in long-lived workers and moves rows and results through
-:class:`~repro.serving.shm_ring.ShmRing` shared-memory ring buffers
-(zero pickling on the hot path, zero-copy result reads), coalescing
-concurrent small requests into fused scoring calls. The replay harness
-(:mod:`repro.serving.replay`) measures latency under open-loop load.
+Scoring runs in-process: each batch takes one compiled classifier
+forward pass through ``TargAD.score_batch``, called via the
+:class:`~repro.serving.executor.FallbackChain` seam
+(:mod:`repro.serving.executor`). Models are replaced with
+:meth:`~repro.serving.pipeline.ScoringPipeline.swap_model`, which stages
+a new generation off the hot path and flips it in under the swap lock.
 """
 
-from repro.serving.daemon import DaemonUnavailable, ServingDaemon
 from repro.serving.drift import DriftMonitor, DriftReport
-from repro.serving.errors import ExecutorUnavailable
-from repro.serving.executor import (
-    DaemonExecutor,
-    Executor,
-    FallbackChain,
-    InlineExecutor,
-    ShardedExecutor,
-    StripedDaemonExecutor,
-)
-from repro.serving.pipeline import (
-    EXECUTOR_PRESETS,
-    ROUTE_QUARANTINED,
-    AlertBatch,
-    ScoringPipeline,
-)
-from repro.serving.sharding import (
-    ScoringSpec,
-    ShardedScorer,
-    ShardPoolUnavailable,
-    ShardResult,
-    build_scoring_spec,
-)
-from repro.serving.shm_ring import ShmRing
+from repro.serving.executor import FallbackChain, InlineExecutor
+from repro.serving.pipeline import ROUTE_QUARANTINED, AlertBatch, ScoringPipeline
 
 __all__ = [
     "AlertBatch",
-    "DaemonExecutor",
-    "DaemonUnavailable",
     "DriftMonitor",
     "DriftReport",
-    "EXECUTOR_PRESETS",
-    "Executor",
-    "ExecutorUnavailable",
     "FallbackChain",
     "InlineExecutor",
     "ROUTE_QUARANTINED",
     "ScoringPipeline",
-    "ScoringSpec",
-    "ServingDaemon",
-    "ShardedExecutor",
-    "ShardPoolUnavailable",
-    "ShardResult",
-    "ShardedScorer",
-    "ShmRing",
-    "StripedDaemonExecutor",
-    "build_scoring_spec",
 ]

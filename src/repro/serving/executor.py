@@ -1,578 +1,59 @@
-"""Unified execution layer behind :class:`~repro.serving.pipeline.ScoringPipeline`.
+"""The execution seam behind :class:`~repro.serving.pipeline.ScoringPipeline`.
 
-Serving grew three execution paths — inline ``score_batch``, the
-per-batch :class:`~repro.serving.sharding.ShardedScorer` pool, and the
-always-on :class:`~repro.serving.daemon.ServingDaemon` — and the
-pipeline used to hand-roll eligibility, fallback, and spec-update logic
-for each. This module extracts the seam:
+The pipeline scores every batch in-process: one compiled classifier
+forward pass, the Eq. 9 score and the tri-class routing of §III-C, all
+inside ``TargAD.score_batch``. This module keeps the call site that
+scoring passes through:
 
-- :class:`Executor` — the protocol every execution path implements:
-  ``score(X) -> (scores, routing)``, ``update_spec(spec)`` for model
-  hot-swaps, ``reset()`` for swap rollback, ``alive``/``eligible`` for
-  chain selection, ``close()``, and ``telemetry_tags()``.
-- :class:`InlineExecutor`, :class:`ShardedExecutor`,
-  :class:`DaemonExecutor` — adapters wrapping the existing engines;
-  each owns its engine's lifecycle, disable logic, and telemetry.
-- :class:`StripedDaemonExecutor` — the payoff of the seam: sharding
-  *composed with* the daemon. One large batch is split into contiguous
-  row stripes (the sharding split) submitted as pinned (non-coalescing)
-  requests across the daemon's idle workers, and merged back in input
-  order — the deterministic merge guarantee, now over shared-memory
-  rings instead of pickle pipes.
-- :class:`FallbackChain` — the infra-failure matrix, encoded once: an
-  :class:`~repro.serving.errors.ExecutorUnavailable` raised by any
-  executor demotes the batch to the next executor in the chain without
-  touching the circuit breaker, while *model* faults propagate raw so
-  the pipeline's breaker/degraded-fallback guardrails treat every
-  executor identically.
+- :class:`InlineExecutor` — scores sanitized rows with the model it is
+  handed;
+- :class:`FallbackChain` — holds the pipeline's one executor and is the
+  single entry point ``process`` calls per scored batch.
 
-Every executor scores through the same :class:`ScoringSpec` forward
-functions the inline path uses, so on identical float64 inputs scores
-and routing are bitwise-identical across the whole chain — the
-conformance suite (``tests/serving/test_executor_conformance.py``)
-pins that, including across hot swaps.
+Neither holds a reference to the pipeline or to a model: the pipeline
+passes its current model into :meth:`FallbackChain.score`, so a hot swap
+is visible on the next batch and a retired pipeline or model is freed by
+reference counting alone. Anything the executor raises is a model fault;
+the pipeline's circuit breaker and degraded fallback handle it.
 """
 
 from __future__ import annotations
 
-import abc
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.obs import ensure_telemetry
-from repro.serving.daemon import DaemonUnavailable, ServingDaemon
-from repro.serving.errors import ExecutorUnavailable
-from repro.serving.sharding import (
-    ScoringSpec,
-    ShardedScorer,
-    ShardPoolUnavailable,
-)
-
-__all__ = [
-    "DaemonExecutor",
-    "Executor",
-    "ExecutorUnavailable",
-    "FallbackChain",
-    "InlineExecutor",
-    "ShardedExecutor",
-    "StripedDaemonExecutor",
-]
-
-#: A zero-argument callable producing a fresh :class:`ScoringSpec` from
-#: the pipeline's *current* model — evaluated lazily so executors built
-#: before a hot swap still pick up the live generation.
-SpecFactory = Callable[[], ScoringSpec]
+__all__ = ["FallbackChain", "InlineExecutor"]
 
 
-class Executor(abc.ABC):
-    """One serving execution path with a uniform control surface.
+class InlineExecutor:
+    """Single-process scoring on the model passed in."""
 
-    The contract the :class:`FallbackChain` (and through it the
-    pipeline's hot-swap machinery) depends on:
-
-    - :meth:`score` returns ``(scores, routing)`` bitwise-identical to
-      the inline ``model.score_batch`` on the same rows. Infrastructure
-      problems raise :class:`ExecutorUnavailable`; model faults raise
-      with their original type.
-    - :attr:`alive` is ``False`` once the executor has permanently
-      disabled itself; the chain then skips it without trying.
-    - :meth:`eligible` lets an executor decline individual batches
-      (e.g. sharding below its minimum row count) without going down.
-    - :meth:`update_spec` pushes a new model generation into any worker
-      surface; :meth:`needs_spec` reports whether one exists (so the
-      swap only builds a spec when somebody will consume it).
-    - :meth:`reset` restores workers to the pipeline's current model
-      after a failed swap (the pipeline has already restored its own
-      pointers when this is called).
-    - :meth:`close` is idempotent.
-    """
-
-    #: Telemetry tag naming this execution path (e.g. ``"daemon"``).
-    name: str = "executor"
-
-    @property
-    def alive(self) -> bool:
-        return True
-
-    def eligible(self, n_rows: int) -> bool:
-        return True
-
-    @abc.abstractmethod
-    def score(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Score sanitized rows; see the class docstring for the contract."""
-
-    def needs_spec(self) -> bool:
-        """Whether a live worker surface would consume ``update_spec``."""
-        return False
-
-    def update_spec(self, spec: ScoringSpec) -> None:
-        """Push a new generation's spec into the worker surface."""
-
-    def reset(self) -> None:
-        """Rollback hook: re-point workers at the pipeline's current model."""
-
-    def close(self) -> None:
-        """Release worker resources. Idempotent."""
-
-    def telemetry_tags(self) -> dict:
-        """Per-batch tags merged into the pipeline's ``serve.batch`` event."""
-        return {}
-
-
-class InlineExecutor(Executor):
-    """Single-process scoring on the live model — the terminal executor.
-
-    Reads the model through ``model_ref`` on every call, so a hot swap
-    is visible the moment the pipeline flips its pointer; ``update_spec``
-    and ``reset`` are therefore no-ops. Never raises
-    :class:`ExecutorUnavailable` — anything it raises is a model fault.
-    """
-
+    #: Telemetry tag naming this execution path.
     name = "inline"
 
-    def __init__(self, model_ref: Callable[[], object], strategy: str):
-        self._model_ref = model_ref
-        self._strategy = strategy
+    def __init__(self, strategy: str):
+        self.strategy = strategy
 
-    def score(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def score(self, model, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         # score_batch runs the classifier once on the compiled
         # graph-free path and yields scores + routing together —
         # no Tensor objects are constructed at serve time.
-        return self._model_ref().score_batch(X, strategy=self._strategy)
-
-
-class ShardedExecutor(Executor):
-    """Per-batch row sharding over a lazily built process pool.
-
-    Declines batches below ``min_rows`` (per-shard IPC cost dominates
-    there). A pool-infrastructure failure disables the executor for its
-    lifetime — one ``serve.sharding_disabled`` event, aborted-shard
-    accounting in ``serve.shards.aborted`` — and demotes the batch;
-    model faults raised inside a worker propagate raw.
-    """
-
-    name = "sharded"
-
-    def __init__(
-        self,
-        spec_factory: SpecFactory,
-        n_workers: int,
-        min_rows: int = 8192,
-        start_method: Optional[str] = None,
-        telemetry=None,
-    ):
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        if min_rows < 1:
-            raise ValueError("min_rows must be >= 1")
-        self._spec_factory = spec_factory
-        self.n_workers = int(n_workers)
-        self.min_rows = int(min_rows)
-        self.start_method = start_method
-        self.telemetry = ensure_telemetry(telemetry)
-        self._sharder: Optional[ShardedScorer] = None
-        self._disabled = False
-        self._last_n_shards = 0
-
-    @property
-    def alive(self) -> bool:
-        return not self._disabled
-
-    def eligible(self, n_rows: int) -> bool:
-        return n_rows >= self.min_rows
-
-    def _ensure_sharder(self) -> ShardedScorer:
-        if self._sharder is None:
-            try:
-                spec = self._spec_factory()
-            except Exception as exc:
-                # Spec extraction failed (e.g. strategy cannot calibrate):
-                # the single-process path keeps its lazier semantics, so
-                # treat this as "sharding unavailable", not a model fault.
-                raise ShardPoolUnavailable(
-                    f"cannot build scoring spec: {exc}"
-                ) from exc
-            self._sharder = ShardedScorer(
-                spec, self.n_workers, start_method=self.start_method
-            )
-        return self._sharder
-
-    def score(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        self._last_n_shards = 0
-        try:
-            result = self._ensure_sharder().score(X)
-        except ShardPoolUnavailable as exc:
-            self._disable(exc)
-            raise
-        self._last_n_shards = result.n_shards
-        if self.telemetry.enabled:
-            self.telemetry.increment("serve.shards", result.n_shards)
-            for seconds in result.shard_seconds:
-                self.telemetry.observe("serve.shard", seconds)
-        return result.scores, result.routing
-
-    def _disable(self, exc: Exception) -> None:
-        self._disabled = True
-        if self._sharder is not None:
-            self._sharder.close()
-            self._sharder = None
-        # A pool that broke *mid-batch* had already scored some shards;
-        # those rows are about to be scored again further down the
-        # chain. Record the aborted shards so the serve.shards ledger
-        # explains the double-scoring instead of hiding it.
-        aborted = getattr(exc, "n_completed_shards", 0)
-        if aborted:
-            self.telemetry.increment("serve.shards.aborted", aborted)
-        self.telemetry.increment("serve.sharding_disabled")
-        self.telemetry.record_event(
-            "serve.sharding_disabled",
-            error=type(exc).__name__,
-            detail=str(exc)[:200],
-            n_aborted_shards=int(aborted),
-        )
-
-    def needs_spec(self) -> bool:
-        return self._sharder is not None
-
-    def update_spec(self, spec: ScoringSpec) -> None:
-        if self._sharder is not None:
-            self._sharder.update_spec(spec)
-
-    def reset(self) -> None:
-        # Drop the pool; the next score lazily rebuilds it through the
-        # spec factory, which reads the pipeline's (restored) model.
-        if self._sharder is not None:
-            self._sharder.close()
-            self._sharder = None
-
-    def close(self) -> None:
-        if self._sharder is not None:
-            self._sharder.close()
-            self._sharder = None
-
-    def telemetry_tags(self) -> dict:
-        return {"n_shards": int(self._last_n_shards)}
-
-
-class DaemonExecutor(Executor):
-    """Always-on serving daemon behind the executor protocol.
-
-    Wraps a caller-owned :class:`ServingDaemon` (not closed by
-    :meth:`close` — the caller keeps its lifecycle) or lazily builds an
-    owned one from the spec factory on first score. A daemon that cannot
-    start — or dies and cannot respawn — disables the executor for its
-    lifetime (``serve.daemon.disabled``); a transiently unavailable
-    daemon (worker crash mid-respawn) demotes that batch only
-    (``serve.daemon.fallbacks``). Worker *model* faults propagate raw.
-    """
-
-    name = "daemon"
-
-    def __init__(
-        self,
-        spec_factory: SpecFactory,
-        daemon: Optional[ServingDaemon] = None,
-        n_workers: int = 1,
-        batch_rows: int = 8192,
-        adaptive_batch: bool = False,
-        min_batch_rows: int = 64,
-        telemetry=None,
-    ):
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        self._spec_factory = spec_factory
-        self.n_workers = int(n_workers)
-        self.batch_rows = int(batch_rows)
-        self.adaptive_batch = bool(adaptive_batch)
-        self.min_batch_rows = int(min_batch_rows)
-        self.telemetry = ensure_telemetry(telemetry)
-        self._daemon = daemon
-        self._owned = False
-        self._disabled = False
-
-    @property
-    def alive(self) -> bool:
-        return not self._disabled
-
-    @property
-    def daemon(self) -> Optional[ServingDaemon]:
-        return self._daemon
-
-    def _ensure(self) -> ServingDaemon:
-        """Build/start the daemon on first use; disable on hard failure."""
-        try:
-            if self._daemon is None:
-                try:
-                    spec = self._spec_factory()
-                except Exception as exc:
-                    # A spec that cannot be extracted is "daemon
-                    # unavailable", not a model fault (same reasoning as
-                    # the sharded adapter).
-                    raise DaemonUnavailable(
-                        f"cannot build scoring spec: {exc}"
-                    ) from exc
-                self._daemon = ServingDaemon(
-                    spec,
-                    n_workers=self.n_workers,
-                    max_batch_rows=self.batch_rows,
-                    adaptive_batch=self.adaptive_batch,
-                    min_batch_rows=self.min_batch_rows,
-                    telemetry=self.telemetry,
-                )
-                self._owned = True
-            if not self._daemon.alive:
-                self._daemon.start()
-        except DaemonUnavailable as exc:
-            self._disable(exc)
-            raise
-        return self._daemon
-
-    def _score_on(self, daemon: ServingDaemon, X: np.ndarray):
-        return daemon.score(X)
-
-    def score(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        daemon = self._ensure()
-        try:
-            return self._score_on(daemon, X)
-        except DaemonUnavailable as exc:
-            # Transient (worker died mid-respawn): the chain rescores
-            # this batch further down; a dead daemon stays disabled.
-            self.telemetry.increment("serve.daemon.fallbacks")
-            self.telemetry.record_event(
-                "serve.daemon.fallback",
-                error=type(exc).__name__,
-                detail=str(exc)[:200],
-            )
-            if not daemon.alive:
-                self._disable(exc)
-            raise
-
-    def _disable(self, exc: Exception) -> None:
-        self._disabled = True
-        if self._daemon is not None and self._owned:
-            self._daemon.close()
-            self._daemon = None
-        self.telemetry.increment("serve.daemon.disabled")
-        self.telemetry.record_event(
-            "serve.daemon.disabled",
-            error=type(exc).__name__,
-            detail=str(exc)[:200],
-        )
-
-    def needs_spec(self) -> bool:
-        return (
-            self._daemon is not None
-            and not self._disabled
-            and self._daemon.alive
-        )
-
-    def update_spec(self, spec: ScoringSpec) -> None:
-        if self.needs_spec():
-            self._daemon.update_spec(spec)
-
-    def reset(self) -> None:
-        """Put the daemon back on the pipeline's (restored) model.
-
-        An owned daemon is simply closed — the lazy build path
-        reconstructs it from the spec factory, which reads the restored
-        model. A caller-owned daemon cannot be rebuilt here, so its spec
-        is re-pushed; if even that fails the executor is disabled and
-        the chain serves without it.
-        """
-        if self._daemon is None:
-            return
-        if self._owned:
-            self._daemon.close()
-            self._daemon = None
-            return
-        try:
-            self._daemon.update_spec(self._spec_factory())
-        except Exception as exc:
-            self._disable(exc)
-
-    def close(self) -> None:
-        if self._daemon is not None and self._owned:
-            self._daemon.close()
-            self._daemon = None
-
-
-class _StripedHandle:
-    """Completion handle over one batch's per-worker stripe submissions."""
-
-    __slots__ = ("handles",)
-
-    def __init__(self, handles: List):
-        self.handles = handles
-
-    def result(self, timeout: Optional[float] = None):
-        parts = [h.result(timeout) for h in self.handles]
-        if len(parts) == 1:
-            return parts[0]
-        # Stripes are contiguous input slices submitted in order, so a
-        # plain concatenation is the deterministic in-order merge.
-        return (
-            np.concatenate([s for s, _ in parts]),
-            np.concatenate([r for _, r in parts]),
-        )
-
-    @property
-    def t_done(self) -> float:
-        """Completion time of the slowest stripe (replay-bench clock)."""
-        return max(h.t_done for h in self.handles)
-
-
-class StripedDaemonExecutor(DaemonExecutor):
-    """Row striping *inside* the daemon: sharding composed with residency.
-
-    Batches of at least ``stripe_min_rows`` rows are split into
-    contiguous stripes (:meth:`ShardedScorer.shard_slices` — the same
-    split the shard pool uses) and submitted as pinned, non-coalescing
-    requests so the dispatcher hands each stripe to a different idle
-    worker; results merge back in input order. Smaller batches and
-    single-worker daemons take the plain daemon path unchanged. One
-    stripe's infrastructure failure demotes the whole batch (the chain
-    rescores it further down); one stripe's model fault propagates raw.
-    """
-
-    name = "striped_daemon"
-
-    def __init__(self, *args, stripe_min_rows: int = 1024, **kwargs):
-        super().__init__(*args, **kwargs)
-        if stripe_min_rows < 2:
-            raise ValueError("stripe_min_rows must be >= 2")
-        self.stripe_min_rows = int(stripe_min_rows)
-        self._last_n_stripes = 0
-
-    def submit(self, X: np.ndarray) -> _StripedHandle:
-        """Async entry point (replay bench): stripe + submit, no wait."""
-        daemon = self._ensure()
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        if daemon.n_workers < 2 or len(X) < self.stripe_min_rows:
-            return _StripedHandle([daemon.submit(X)])
-        slices = ShardedScorer.shard_slices(len(X), daemon.n_workers)
-        handles = [daemon.submit(X[s], coalesce=False) for s in slices]
-        if self.telemetry.enabled:
-            self.telemetry.increment("serve.daemon.striped_batches")
-            self.telemetry.increment("serve.daemon.stripes", len(handles))
-        return _StripedHandle(handles)
-
-    def _score_on(self, daemon: ServingDaemon, X: np.ndarray):
-        self._last_n_stripes = 0
-        if len(np.asarray(X)) == 0 or daemon.n_workers < 2 or (
-            len(X) < self.stripe_min_rows
-        ):
-            return daemon.score(X)
-        slices = ShardedScorer.shard_slices(len(X), daemon.n_workers)
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        handles = [daemon.submit(X[s], coalesce=False) for s in slices]
-        if self.telemetry.enabled:
-            self.telemetry.increment("serve.daemon.striped_batches")
-            self.telemetry.increment("serve.daemon.stripes", len(handles))
-        result = _StripedHandle(handles).result(timeout=60.0)
-        self._last_n_stripes = len(handles)
-        return result
-
-    def telemetry_tags(self) -> dict:
-        return {"n_stripes": int(self._last_n_stripes)}
+        return model.score_batch(X, strategy=self.strategy)
 
 
 class FallbackChain:
-    """Ordered executors plus the infra-failure matrix, encoded once.
+    """The pipeline's executors, iterable; scoring goes through :meth:`score`.
 
-    :meth:`score` walks the chain: the first executor that is alive and
-    eligible serves the batch. An :class:`ExecutorUnavailable` demotes
-    the batch to the next executor — one ``serve.executor.demotions``
-    count and a ``serve.executor.demoted`` event, never a circuit-
-    breaker fault (whether the failure was permanent is the executor's
-    own bookkeeping, observed through ``alive`` next batch). Any other
-    exception is a model fault and propagates to the caller's
-    guardrails exactly as the inline path would raise it.
-
-    The chain also forwards the uniform control surface the pipeline's
-    swap machinery calls: :meth:`push_spec` (swap push phase),
-    :meth:`reset` (swap rollback), :meth:`close`.
+    Holds exactly one :class:`InlineExecutor`.
     """
 
-    def __init__(self, executors: Sequence[Executor], telemetry=None):
-        if not executors:
-            raise ValueError("FallbackChain needs at least one executor")
-        self.executors: List[Executor] = list(executors)
-        self.telemetry = ensure_telemetry(telemetry)
-        self.last_executor: Optional[str] = None
-        self.last_tags: dict = {}
+    def __init__(self, strategy: str):
+        self.executors = [InlineExecutor(strategy)]
 
     def __iter__(self):
         return iter(self.executors)
 
-    def find(self, cls) -> Optional[Executor]:
-        """First executor of (a subclass of) ``cls``, or ``None``."""
-        for executor in self.executors:
-            if isinstance(executor, cls):
-                return executor
-        return None
-
-    def begin_batch(self) -> None:
-        """Clear per-batch state before a new pipeline batch."""
-        self.last_executor = None
-        self.last_tags = {}
-
-    def score(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        last_exc: Optional[ExecutorUnavailable] = None
-        for executor in self.executors:
-            if not executor.alive or not executor.eligible(len(X)):
-                continue
-            try:
-                result = executor.score(X)
-            except ExecutorUnavailable as exc:
-                last_exc = exc
-                self._record_demotion(executor, exc)
-                continue
-            self.last_executor = executor.name
-            self.last_tags = executor.telemetry_tags()
-            return result
-        raise last_exc if last_exc is not None else ExecutorUnavailable(
-            "no executor in the chain is alive and eligible"
-        )
-
-    def _record_demotion(self, executor: Executor, exc: Exception) -> None:
-        if self.telemetry.enabled:
-            self.telemetry.increment("serve.executor.demotions")
-            self.telemetry.record_event(
-                "serve.executor.demoted",
-                executor=executor.name,
-                error=type(exc).__name__,
-                detail=str(exc)[:200],
-            )
-
-    def needs_spec(self) -> bool:
-        return any(executor.needs_spec() for executor in self.executors)
-
-    def push_spec(
-        self, spec: Optional[ScoringSpec], spec_factory: SpecFactory
-    ) -> None:
-        """Push a staged generation into every live worker surface.
-
-        ``spec`` may be ``None`` when staging found no worker surface;
-        if one has appeared since (lazy build on a concurrent batch),
-        the factory builds it now. Raises whatever an executor's
-        ``update_spec`` raises — the caller treats that as a failed swap
-        push and rolls back via :meth:`reset`.
-        """
-        targets = [ex for ex in self.executors if ex.needs_spec()]
-        if not targets:
-            return
-        if spec is None:
-            spec = spec_factory()
-        for executor in targets:
-            executor.update_spec(spec)
-
-    def reset(self) -> None:
-        """Swap rollback: re-point every executor at the restored model."""
-        for executor in self.executors:
-            executor.reset()
-
-    def close(self) -> None:
-        """Close every executor. Idempotent."""
-        for executor in self.executors:
-            executor.close()
+    def score(self, model, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Score sanitized rows with ``model``; model faults propagate raw."""
+        return self.executors[0].score(model, X)

@@ -16,15 +16,10 @@ trips and batches are scored by the degraded
 half-open probe succeeds. Degraded results are annotated as such; the
 queue never silently mixes primary and fallback scores.
 
-Execution is delegated to a
-:class:`~repro.serving.executor.FallbackChain` of
-:class:`~repro.serving.executor.Executor` adapters (daemon → sharded →
-inline). The chain owns per-path eligibility, infrastructure-failure
-demotion, and the spec-push/rollback surface for model hot-swaps, so
-this module contains no executor-type-specific branches: ``process``
-scores through ``chain.score`` and ``swap_model`` pushes and rolls back
-through ``chain.push_spec`` / ``chain.reset`` regardless of which
-execution paths are configured.
+Scoring runs in-process through
+:meth:`~repro.serving.executor.FallbackChain.score`, which the pipeline
+hands its current model on every batch; a hot swap flips the model,
+threshold, drift monitor and fallback together under the swap lock.
 """
 
 from __future__ import annotations
@@ -45,22 +40,11 @@ from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.errors import SwapError
 from repro.resilience.fallback import ReconstructionFallback
 from repro.resilience.sanitize import expected_width, sanitize_batch
-from repro.serving.daemon import ServingDaemon
 from repro.serving.drift import DriftMonitor, DriftReport
-from repro.serving.executor import (
-    DaemonExecutor,
-    FallbackChain,
-    InlineExecutor,
-    ShardedExecutor,
-    StripedDaemonExecutor,
-)
-from repro.serving.sharding import ScoringSpec, build_scoring_spec
+from repro.serving.executor import FallbackChain
 
 #: Routing code for rows that were quarantined before scoring.
 ROUTE_QUARANTINED = -1
-
-#: Named chain presets accepted by the ``executor=`` knob.
-EXECUTOR_PRESETS = ("inline", "sharded", "daemon", "striped_daemon")
 
 
 @dataclass
@@ -76,7 +60,6 @@ class _StagedGeneration:
     threshold: float
     monitor: Optional[DriftMonitor]
     fallback: ReconstructionFallback
-    spec: Optional[ScoringSpec]
 
 
 @dataclass
@@ -157,64 +140,9 @@ class ScoringPipeline:
         ``serve.*`` series — per-batch process latency, alert/deferred
         counts, and a drift-event counter — plus the ``resilience.*``
         series (quarantine counts, scoring faults, breaker transitions,
-        degraded batches). Executors additionally record their own
-        series (``serve.shard``/``serve.shards``, ``serve.daemon.*``,
-        ``serve.executor.demotions``) and the pipeline mirrors the
-        ``serve.plan_cache.*`` hit/miss/invalidation deltas observed
-        around each batch. ``None`` = no-op.
-    executor:
-        Named chain preset, the front door to the execution layer:
-        ``"inline"`` (single-process only), ``"sharded"`` (per-batch
-        shard pool, ``shard_workers`` or 2), ``"daemon"`` (always-on
-        worker daemon), or ``"striped_daemon"`` (daemon with large
-        batches striped across idle workers). ``None`` (default) derives
-        the chain from the ``daemon``/``shard_workers`` knobs below.
-        Whatever the preset, the chain always ends in the inline
-        executor, so scoring survives any infrastructure failure.
-    shard_workers:
-        Number of worker processes for row-sharded scoring; ``0``
-        (default) keeps scoring single-process. Batches with at least
-        ``min_shard_rows`` sanitized rows are split into contiguous
-        shards scored in parallel (see :mod:`repro.serving.sharding`)
-        and merged in input order — output is identical to the
-        single-process path. If the pool cannot be created or breaks
-        down, its executor disables itself for the pipeline's lifetime
-        and the batch demotes down the chain (never counted as a scorer
-        fault by the circuit breaker).
-    min_shard_rows:
-        Smallest batch worth sharding; below it the per-shard IPC cost
-        dominates and the single-process fast path wins.
-    shard_start_method:
-        Multiprocessing start method for the pool (``None`` prefers
-        ``"fork"`` when available).
-    daemon:
-        Opt-in always-on serving daemon
-        (:class:`~repro.serving.daemon.ServingDaemon`). ``True`` builds
-        one lazily from this pipeline's model (``daemon_workers``
-        workers, shared-memory ring transport, micro-batching); a
-        pre-started instance is used as-is (and then *not* closed by
-        :meth:`close` — the caller owns its lifecycle, e.g. when several
-        pipelines share one daemon). When the daemon cannot start
-        (shared memory unavailable) its executor disables itself and the
-        chain serves without it; a transiently unavailable daemon
-        (worker crash mid-respawn) demotes that batch only. Neither
-        counts as a scorer fault to the circuit breaker — worker *model*
-        faults do, exactly like sharded faults.
-    daemon_workers:
-        Worker processes for an auto-built daemon.
-    daemon_batch_rows:
-        Micro-batching ceiling for the auto-built daemon.
-    adaptive_batch:
-        Tune the daemon's coalescing ceiling per dispatch from its
-        admission queue (rows queued / idle workers, clamped to
-        ``[daemon_min_batch_rows, daemon_batch_rows]``) instead of
-        always fusing up to the fixed ceiling.
-    daemon_min_batch_rows:
-        Adaptive-mode floor for the coalescing ceiling.
-    stripe_min_rows:
-        ``executor="striped_daemon"`` only: smallest batch worth
-        splitting across idle daemon workers; smaller batches take the
-        plain daemon path.
+        degraded batches). It also mirrors the ``serve.plan_cache.*``
+        hit/miss/invalidation deltas observed around each batch. ``None``
+        = no-op.
     """
 
     def __init__(
@@ -229,16 +157,6 @@ class ScoringPipeline:
         circuit_breaker: Optional[CircuitBreaker] = None,
         fallback: Optional[ReconstructionFallback] = None,
         telemetry=None,
-        executor: Optional[str] = None,
-        shard_workers: int = 0,
-        min_shard_rows: int = 8192,
-        shard_start_method: Optional[str] = None,
-        daemon=None,
-        daemon_workers: int = 1,
-        daemon_batch_rows: int = 8192,
-        adaptive_batch: bool = False,
-        daemon_min_batch_rows: int = 64,
-        stripe_min_rows: int = 1024,
     ):
         if policy not in ("f1", "recall", "budget"):
             raise ValueError('policy must be "f1", "recall", or "budget"')
@@ -266,170 +184,13 @@ class ScoringPipeline:
             else CircuitBreaker(telemetry=self.telemetry, name="serve")
         )
         self.fallback = fallback
-        if executor is not None and executor not in EXECUTOR_PRESETS:
-            raise ValueError(
-                f"executor must be one of {EXECUTOR_PRESETS}; got {executor!r}"
-            )
-        if shard_workers < 0:
-            raise ValueError("shard_workers must be >= 0")
-        if min_shard_rows < 1:
-            raise ValueError("min_shard_rows must be >= 1")
-        if daemon_workers < 1:
-            raise ValueError("daemon_workers must be >= 1")
-        self.executor = executor
-        self.shard_workers = int(shard_workers)
-        self.min_shard_rows = int(min_shard_rows)
-        self.shard_start_method = shard_start_method
-        self.daemon_workers = int(daemon_workers)
-        self.daemon_batch_rows = int(daemon_batch_rows)
-        self.adaptive_batch = bool(adaptive_batch)
-        self.daemon_min_batch_rows = int(daemon_min_batch_rows)
-        self.stripe_min_rows = int(stripe_min_rows)
-        self.chain = self._build_chain(daemon, executor)
+        self.chain = FallbackChain(strategy)
         #: Model-generation counter; bumped by each successful hot swap.
         self.generation = 0
         # Serializes process() against swap_model(): a batch always sees
-        # one coherent (model, threshold, monitor, fallback, workers)
-        # generation. Re-entrant so the swap can call helpers that also
-        # take it.
+        # one coherent (model, threshold, monitor, fallback) generation.
+        # Re-entrant so the swap can call helpers that also take it.
         self._swap_lock = threading.RLock()
-
-    # -- execution chain --------------------------------------------------
-    def _spec_factory(self) -> ScoringSpec:
-        """Spec for worker executors, always from the *current* model."""
-        return build_scoring_spec(self.model, self.strategy)
-
-    def _build_chain(self, daemon, preset: Optional[str]) -> FallbackChain:
-        """Assemble the executor chain: daemon → sharded → inline.
-
-        With ``preset=None`` the chain is derived from the legacy
-        ``daemon``/``shard_workers`` knobs; a named preset pins the top
-        of the chain explicitly (``"sharded"`` defaults to two workers
-        when ``shard_workers`` was left at 0). The inline executor is
-        always the terminal member.
-        """
-        want_daemon = bool(daemon) or preset in ("daemon", "striped_daemon")
-        shard_workers = self.shard_workers
-        if preset == "sharded" and shard_workers == 0:
-            shard_workers = self.shard_workers = 2
-        if preset == "inline":
-            want_daemon = False
-            shard_workers = 0
-        executors = []
-        if want_daemon:
-            daemon_cls = (
-                StripedDaemonExecutor
-                if preset == "striped_daemon"
-                else DaemonExecutor
-            )
-            kwargs = dict(
-                daemon=daemon if isinstance(daemon, ServingDaemon) else None,
-                n_workers=self.daemon_workers,
-                batch_rows=self.daemon_batch_rows,
-                adaptive_batch=self.adaptive_batch,
-                min_batch_rows=self.daemon_min_batch_rows,
-                telemetry=self.telemetry,
-            )
-            if daemon_cls is StripedDaemonExecutor:
-                kwargs["stripe_min_rows"] = self.stripe_min_rows
-            executors.append(daemon_cls(self._spec_factory, **kwargs))
-        if shard_workers > 0:
-            executors.append(
-                ShardedExecutor(
-                    self._spec_factory,
-                    shard_workers,
-                    min_rows=self.min_shard_rows,
-                    start_method=self.shard_start_method,
-                    telemetry=self.telemetry,
-                )
-            )
-        executors.append(InlineExecutor(lambda: self.model, self.strategy))
-        return FallbackChain(executors, telemetry=self.telemetry)
-
-    # -- executor-internals compatibility surface -------------------------
-    # Long-standing private attributes, kept as properties over the chain
-    # so operational tooling (and the serving test-suite) that pokes at
-    # daemon/sharder internals keeps working after the executor refactor.
-    @property
-    def _daemon_exec(self) -> Optional[DaemonExecutor]:
-        return self.chain.find(DaemonExecutor)
-
-    @property
-    def _shard_exec(self) -> Optional[ShardedExecutor]:
-        return self.chain.find(ShardedExecutor)
-
-    @property
-    def _daemon(self) -> Optional[ServingDaemon]:
-        ex = self._daemon_exec
-        return ex.daemon if ex is not None else None
-
-    @_daemon.setter
-    def _daemon(self, value: Optional[ServingDaemon]) -> None:
-        ex = self._daemon_exec
-        if ex is None:
-            ex = DaemonExecutor(
-                self._spec_factory,
-                daemon=value,
-                n_workers=self.daemon_workers,
-                batch_rows=self.daemon_batch_rows,
-                telemetry=self.telemetry,
-            )
-            self.chain.executors.insert(0, ex)
-            return
-        if ex._owned and ex._daemon is not None and ex._daemon is not value:
-            ex._daemon.close()
-        ex._daemon = value
-        ex._owned = False
-
-    @property
-    def _daemon_owned(self) -> bool:
-        ex = self._daemon_exec
-        return ex is not None and ex._owned
-
-    @_daemon_owned.setter
-    def _daemon_owned(self, value: bool) -> None:
-        ex = self._daemon_exec
-        if ex is not None:
-            ex._owned = bool(value)
-
-    @property
-    def _daemon_enabled(self) -> bool:
-        return self._daemon_exec is not None
-
-    @property
-    def _daemon_disabled(self) -> bool:
-        ex = self._daemon_exec
-        return ex is not None and not ex.alive
-
-    @property
-    def _sharder(self):
-        ex = self._shard_exec
-        return ex._sharder if ex is not None else None
-
-    @_sharder.setter
-    def _sharder(self, value) -> None:
-        ex = self._shard_exec
-        if ex is None:
-            ex = ShardedExecutor(
-                self._spec_factory,
-                getattr(value, "n_workers", 1) or 1,
-                min_rows=self.min_shard_rows,
-                start_method=self.shard_start_method,
-                telemetry=self.telemetry,
-            )
-            self.chain.executors.insert(len(self.chain.executors) - 1, ex)
-        elif ex._sharder is not None and ex._sharder is not value:
-            ex._sharder.close()
-        ex._sharder = value
-
-    @property
-    def _sharding_disabled(self) -> bool:
-        ex = self._shard_exec
-        return ex is not None and not ex.alive
-
-    @property
-    def _last_n_shards(self) -> int:
-        return int(self.chain.last_tags.get("n_shards", 0))
 
     def calibrate(
         self,
@@ -510,27 +271,21 @@ class ScoringPipeline:
         1. **Stage** (off the hot path, old generation keeps serving):
            score the validation split with the candidate, re-apply the
            threshold policy, fit a fresh drift monitor on
-           ``X_reference``/``X_val``, calibrate a fresh reconstruction
-           fallback at the candidate's alert fraction, and — when any
-           executor has a live worker surface — build the candidate's
-           :class:`~repro.serving.sharding.ScoringSpec`.
+           ``X_reference``/``X_val``, and calibrate a fresh reconstruction
+           fallback at the candidate's alert fraction.
         2. **Flip** (under the swap lock, so no batch ever sees a
-           half-swapped pipeline): push the new spec through the
-           executor chain into every live worker surface (the daemon's
-           rolling respawn, the shard pool's lazy rebuild), then swap
-           the model / threshold / monitor / fallback pointers and bump
-           ``generation``. The retired network's cached inference plan
-           is evicted.
+           half-swapped pipeline): swap the model / threshold / monitor /
+           fallback pointers and bump ``generation``. The retired
+           network's cached inference plan is evicted.
 
-        Any failure — staging, the spec push, or the flip itself —
-        restores the previous generation completely (workers included,
-        via the chain's uniform ``reset``) and raises
+        Any failure — staging or the flip itself — restores the previous
+        generation completely and raises
         :class:`~repro.resilience.errors.SwapError`; the circuit breaker
         is never involved, because a swap failure is a control-plane
         problem, not a scoring fault.
 
         ``fault_points`` is the chaos hook: a callable invoked with the
-        phase names ``"stage"``, ``"push"``, ``"flip"`` (see
+        phase names ``"stage"`` and ``"flip"`` (see
         :data:`repro.resilience.faultinject.SWAP_PHASES`); whatever it
         raises is handled exactly like a genuine fault in that phase.
         """
@@ -552,14 +307,7 @@ class ScoringPipeline:
         with self._swap_lock:
             old_model = self.model
             old_state = (self.model, self.threshold_, self._monitor, self.fallback)
-            phase = "push"
             try:
-                fire("push")
-                self.chain.push_spec(
-                    staged.spec,
-                    lambda: build_scoring_spec(staged.model, self.strategy),
-                )
-                phase = "flip"
                 fire("flip")
                 self.model = staged.model
                 self.threshold_ = staged.threshold
@@ -568,10 +316,9 @@ class ScoringPipeline:
                 self.generation += 1
             except Exception as exc:
                 (self.model, self.threshold_, self._monitor, self.fallback) = old_state
-                self.chain.reset()
-                self._record_swap_failure(phase, exc)
+                self._record_swap_failure("flip", exc)
                 raise SwapError(
-                    f"swap failed during {phase}; previous generation restored: {exc}"
+                    f"swap failed during flip; previous generation restored: {exc}"
                 ) from exc
 
         # The retired network will never be scored again on this thread:
@@ -613,12 +360,9 @@ class ScoringPipeline:
             ).fit(reference)
         alert_fraction = float(np.mean(scores >= threshold))
         fallback = ReconstructionFallback(model).calibrate(X_val, alert_fraction)
-        spec = None
-        if self.chain.needs_spec():
-            spec = build_scoring_spec(model, self.strategy)
         return _StagedGeneration(
             model=model, threshold=float(threshold), monitor=monitor,
-            fallback=fallback, spec=spec,
+            fallback=fallback,
         )
 
     def _record_swap_failure(self, phase: str, exc: Exception) -> None:
@@ -658,7 +402,6 @@ class ScoringPipeline:
         scores = np.full(n_total, np.nan, dtype=np.float64)
         routing = np.full(n_total, ROUTE_QUARANTINED, dtype=np.int64)
         degraded = False
-        self.chain.begin_batch()
         cache_before = plan_cache_stats() if self.telemetry.enabled else None
         if len(sanitized.kept):
             clean_scores, clean_routing, degraded = self._score_with_guardrails(
@@ -699,17 +442,16 @@ class ScoringPipeline:
     def _score_with_guardrails(
         self, X: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, bool]:
-        """Score sanitized rows via the executor chain if the breaker allows.
+        """Score sanitized rows with the current model if the breaker allows.
 
-        Returns ``(scores, routing, degraded)``. The chain handles
-        infrastructure demotion internally (never a breaker event); a
-        model fault — an exception or non-finite scores — is reported to
-        the breaker and the batch falls through to the degraded scorer.
+        Returns ``(scores, routing, degraded)``. A model fault — an
+        exception or non-finite scores — is reported to the breaker and
+        the batch falls through to the degraded scorer.
         """
         breaker = self.circuit_breaker
         if breaker.allow():
             try:
-                raw_scores, raw_routing = self.chain.score(X)
+                raw_scores, raw_routing = self.chain.score(self.model, X)
                 scores = np.asarray(raw_scores, dtype=np.float64)
                 if scores.shape != (len(X),) or not np.all(np.isfinite(scores)):
                     raise RuntimeError(
@@ -728,14 +470,6 @@ class ScoringPipeline:
             breaker.record_success()
             return scores, routing, False
         return self._degraded_scores(X)
-
-    def close(self) -> None:
-        """Release every executor's worker resources. Idempotent.
-
-        Caller-owned daemons are left running — their executor never
-        assumed their lifecycle.
-        """
-        self.chain.close()
 
     def _degraded_scores(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray, bool]:
         """Score via the reconstruction fallback while the primary is out.
@@ -796,20 +530,17 @@ class ScoringPipeline:
                 n_features=len(batch.drift.drifted_features),
                 max_ks=batch.drift.max_statistic,
             )
+        served = len(batch.quarantined) < n_rows and not batch.degraded
         event_fields = dict(
             n=n_rows,
             n_alerts=batch.n_alerts,
             n_deferred=len(batch.deferred),
             n_quarantined=int(len(batch.quarantined)),
-            executor=self.chain.last_executor or "none",
-            n_shards=int(self.chain.last_tags.get("n_shards", 0)),
+            executor=self.chain.executors[0].name if served else "none",
             degraded=batch.degraded,
             latency_ms=seconds * 1e3,
             drifted=drifted,
         )
-        n_stripes = int(self.chain.last_tags.get("n_stripes", 0))
-        if n_stripes:
-            event_fields["n_stripes"] = n_stripes
         if drifted:
             event_fields["drift"] = batch.drift.to_dict()
         self.telemetry.record_event("serve.batch", **event_fields)

@@ -109,20 +109,25 @@ def test_dtype_and_fused_variants_are_distinct_slots():
 
 def test_backend_switch_forces_recompile():
     """Switching backends mid-process must not replay another backend's plan."""
-    from repro.backend import use_backend
+    from repro.backend import NumpyBackend, register_backend, use_backend
 
+    class SecondBackend(NumpyBackend):
+        name = "plan-cache-second"
+
+    register_backend(SecondBackend.name, SecondBackend())
     model = make_model()
     X = np.random.default_rng(4).normal(size=(5, 6))
     base = cached_inference(model)
-    with use_backend("tiled"):
-        tiled = cached_inference(model)
-        assert tiled is not base
-        # The tiled slot is its own cache entry: a second lookup hits it.
-        assert cached_inference(model) is tiled
-    # Switching back re-hits the original slot, and both plans agree on
-    # the numpy-vs-tiled parity contract for dense inputs (bitwise).
+    with use_backend(SecondBackend.name):
+        second = cached_inference(model)
+        assert second is not base
+        # The second backend's slot is its own cache entry: a second
+        # lookup hits it.
+        assert cached_inference(model) is second
+    # Switching back re-hits the original slot; both plans run the same
+    # reference ops, so they agree bitwise.
     assert cached_inference(model) is base
-    np.testing.assert_array_equal(base(X), tiled(X))
+    np.testing.assert_array_equal(base(X), second(X))
 
 
 def test_clear_plan_cache_drops_entries():

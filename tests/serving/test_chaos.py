@@ -173,7 +173,7 @@ class TestSwapChaos:
         )
 
     @pytest.mark.parametrize("phase", [
-        "assemble", "label", "refit", "validate", "stage", "push", "flip",
+        "assemble", "label", "refit", "validate", "stage", "flip",
     ])
     def test_every_swap_phase_fault_leaves_old_generation_serving(
         self, fitted, phase
@@ -194,7 +194,7 @@ class TestSwapChaos:
         rollbacks = [e for e in manager.history if e.kind == "rollback"]
         assert len(rollbacks) == 1
         # Manager-side phases are recorded verbatim; pipeline-side phases
-        # (stage/push/flip) surface as the manager's "swap" step wrapped
+        # (stage/flip) surface as the manager's "swap" step wrapped
         # in a SwapError.
         if phase in ("assemble", "label", "refit", "validate"):
             assert rollbacks[0].details["phase"] == phase
@@ -250,9 +250,9 @@ class TestSwapChaos:
         batch = pipe.process(split.X_test[:80])
         assert np.isfinite(batch.scores[batch.scored]).all()
 
-    def test_fault_mid_swap_with_inflight_daemon_batches(self, fitted):
-        """Chaos at the flip while a daemon is serving concurrent traffic:
-        every in-flight batch is answered, the old spec keeps serving."""
+    def test_fault_mid_swap_with_inflight_batches(self, fitted):
+        """Chaos at the flip while concurrent traffic is served: every
+        in-flight batch is answered, the old generation keeps serving."""
         import threading
 
         from repro.resilience import SwapError
@@ -266,49 +266,45 @@ class TestSwapChaos:
             donor=model, epochs=2,
         )
         registry = TelemetryRegistry()
-        pipe = ScoringPipeline(model, policy="f1", daemon=True,
-                               daemon_workers=2, monitor_drift=False,
+        pipe = ScoringPipeline(model, policy="f1", monitor_drift=False,
                                telemetry=registry)
         pipe.calibrate(split.X_val, split.y_val_binary)
         X = split.X_test[:96]
-        try:
-            before = pipe.process(X)  # starts the daemon
-            assert pipe._daemon is not None and pipe._daemon.alive
+        before = pipe.process(X)
 
-            results, errors = [], []
-            stop = threading.Event()
+        results, errors = [], []
+        stop = threading.Event()
 
-            def hammer():
-                try:
-                    while not stop.is_set():
-                        results.append(pipe.process(X))
-                except Exception as exc:  # pragma: no cover - failure path
-                    errors.append(exc)
-
-            thread = threading.Thread(target=hammer)
-            thread.start()
+        def hammer():
             try:
+                while not stop.is_set():
+                    results.append(pipe.process(X))
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
 
-                def fire(phase):
-                    if phase == "flip":
-                        raise RuntimeError("chaos mid-swap")
+        thread = threading.Thread(target=hammer)
+        thread.start()
+        try:
 
-                with pytest.raises(SwapError, match="during flip"):
-                    pipe.swap_model(candidate, split.X_val,
-                                    split.y_val_binary, fault_points=fire)
-            finally:
-                stop.set()
-                thread.join(60.0)
+            def fire(phase):
+                if phase == "flip":
+                    raise RuntimeError("chaos mid-swap")
 
-            assert not errors
-            assert results  # traffic flowed throughout the failed swap
-            for batch in results:
-                assert np.isfinite(batch.scores[batch.scored]).all()
-            assert pipe.generation == 0 and pipe.model is model
-            after = pipe.process(X)
-            np.testing.assert_array_equal(after.scores, before.scores)
-            np.testing.assert_array_equal(after.routing, before.routing)
-            assert registry.counters.get("resilience.breaker.trips", 0) == 0
-            assert pipe.circuit_breaker.state == "closed"
+            with pytest.raises(SwapError, match="during flip"):
+                pipe.swap_model(candidate, split.X_val,
+                                split.y_val_binary, fault_points=fire)
         finally:
-            pipe.close()
+            stop.set()
+            thread.join(60.0)
+
+        assert not errors
+        assert results  # traffic flowed throughout the failed swap
+        for batch in results:
+            np.testing.assert_array_equal(batch.scores, before.scores)
+            np.testing.assert_array_equal(batch.routing, before.routing)
+        assert pipe.generation == 0 and pipe.model is model
+        after = pipe.process(X)
+        np.testing.assert_array_equal(after.scores, before.scores)
+        np.testing.assert_array_equal(after.routing, before.routing)
+        assert registry.counters.get("resilience.breaker.trips", 0) == 0
+        assert pipe.circuit_breaker.state == "closed"

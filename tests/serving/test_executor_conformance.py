@@ -1,15 +1,11 @@
-"""Executor conformance: every execution path honours one contract.
+"""Executor seam: the pipeline scores in-process through ``FallbackChain.score``.
 
-The executor layer (:mod:`repro.serving.executor`) promises that the
-choice of execution path is *invisible* except in latency: bitwise
-score/routing parity with the inline path (including across model hot
-swaps), infrastructure failures demote down the chain in order without
-ever touching the circuit breaker, model faults propagate raw into the
-breaker/fallback guardrails, ``update_spec`` makes a new generation
-visible to live worker surfaces, and ``close()`` is idempotent. This
-module pins that contract once, parametrized over all executors, so a
-new execution path only has to join the parametrization to be held to
-the same bar.
+The chain holds one inline executor and no reference back to the
+pipeline; the pipeline hands it the current model on every batch. This
+module pins the contract the pipeline relies on: bitwise parity with
+``TargAD.score_batch`` (with quarantined rows and across a hot swap), one
+``chain.score`` call per scored batch, and model faults reaching the
+circuit breaker and the degraded fallback.
 """
 
 import numpy as np
@@ -17,21 +13,8 @@ import pytest
 
 from repro.core import TargAD, TargADConfig
 from repro.obs import TelemetryRegistry
-from repro.serving import ScoringPipeline
-from repro.serving.errors import ExecutorUnavailable
-from repro.serving.executor import (
-    DaemonExecutor,
-    Executor,
-    FallbackChain,
-    InlineExecutor,
-    ShardedExecutor,
-    StripedDaemonExecutor,
-)
-from repro.serving.daemon import ServingDaemon
-from repro.serving.sharding import build_scoring_spec
-
-EXECUTOR_KINDS = ["inline", "sharded", "daemon", "striped_daemon"]
-WORKER_KINDS = ["sharded", "daemon", "striped_daemon"]
+from repro.serving import ROUTE_QUARANTINED, ScoringPipeline
+from repro.serving.executor import FallbackChain
 
 
 @pytest.fixture(scope="module")
@@ -56,25 +39,9 @@ def model_b(fitted):
     return other
 
 
-def make_executor(kind, spec_factory, model_ref, telemetry=None):
-    """Build one executor of ``kind`` with worker counts fit for CI."""
-    if kind == "inline":
-        return InlineExecutor(model_ref, "ed")
-    if kind == "sharded":
-        return ShardedExecutor(spec_factory, 2, min_rows=1,
-                               telemetry=telemetry)
-    if kind == "daemon":
-        return DaemonExecutor(spec_factory, n_workers=2, telemetry=telemetry)
-    assert kind == "striped_daemon"
-    return StripedDaemonExecutor(spec_factory, n_workers=2, stripe_min_rows=8,
-                                 telemetry=telemetry)
-
-
-def make_pipeline(model, split, preset, **kwargs):
+def make_pipeline(model, split, **kwargs):
     pipe = ScoringPipeline(
-        model, policy="budget", review_budget=10, monitor_drift=False,
-        executor=preset, min_shard_rows=8, stripe_min_rows=8,
-        daemon_workers=2, **kwargs,
+        model, policy="budget", review_budget=10, monitor_drift=False, **kwargs,
     )
     pipe.calibrate(split.X_val)
     return pipe
@@ -89,313 +56,92 @@ def assert_batches_equal(got, want):
     assert got.degraded == want.degraded
 
 
-class StubExecutor(Executor):
-    """Scripted executor for chain-matrix tests: returns or raises."""
+class FaultyExecutor:
+    """Stands in for the inline executor and raises a model fault."""
 
-    def __init__(self, name, outcome, alive=True, eligible=True):
-        self.name = name
-        self._outcome = outcome
-        self._alive = alive
-        self._eligible = eligible
-        self.calls = 0
-        self.reset_calls = 0
-        self.close_calls = 0
+    name = "faulty"
 
-    @property
-    def alive(self):
-        return self._alive
-
-    def eligible(self, n_rows):
-        return self._eligible
-
-    def score(self, X):
-        self.calls += 1
-        if isinstance(self._outcome, Exception):
-            raise self._outcome
-        return self._outcome
-
-    def reset(self):
-        self.reset_calls += 1
-
-    def close(self):
-        self.close_calls += 1
+    def score(self, model, X):
+        raise ValueError("injected model fault")
 
 
 class TestBitwiseParity:
-    @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
-    def test_score_matches_inline_bitwise(self, kind, fitted):
+    def test_score_matches_inline_bitwise(self, fitted):
         model, split = fitted
-        executor = make_executor(
-            kind, lambda: build_scoring_spec(model, "ed"), lambda: model
-        )
-        try:
-            scores, routing = executor.score(split.X_test)
-        finally:
-            executor.close()
+        scores, routing = FallbackChain("ed").score(model, split.X_test)
         exp_s, exp_r = model.score_batch(split.X_test, strategy="ed")
         np.testing.assert_array_equal(scores, exp_s)
         np.testing.assert_array_equal(routing, exp_r)
 
-    @pytest.mark.parametrize("preset", EXECUTOR_KINDS)
-    def test_pipeline_parity_with_quarantine(self, preset, fitted):
+    def test_pipeline_parity_with_quarantine(self, fitted):
         model, split = fitted
-        inline = make_pipeline(model, split, "inline")
-        pipe = make_pipeline(model, split, preset)
+        pipe = make_pipeline(model, split)
         X = split.X_test.copy()
-        X[3, 0] = np.nan  # quarantine path must survive every executor
-        try:
-            want = inline.process(X)
-            got = pipe.process(X)
-            assert pipe.chain.last_executor == preset
-        finally:
-            pipe.close()
-            inline.close()
-        assert_batches_equal(got, want)
+        X[3, 0] = np.nan
+        got = pipe.process(X)
+        kept = np.delete(np.arange(len(X)), 3)
+        exp_s, exp_r = model.score_batch(X[kept], strategy="ed")
+        np.testing.assert_array_equal(got.scores[kept], exp_s)
+        np.testing.assert_array_equal(got.routing[kept], exp_r)
+        assert np.isnan(got.scores[3]) and got.routing[3] == ROUTE_QUARANTINED
+        np.testing.assert_array_equal(got.quarantined, [3])
+        assert not got.degraded
 
-    @pytest.mark.parametrize("preset", EXECUTOR_KINDS)
-    def test_post_swap_parity(self, preset, fitted, model_b):
-        """After a hot swap every executor serves the new generation
-        bitwise-identically to a fresh inline pipeline on that model."""
+    def test_post_swap_parity(self, fitted, model_b):
+        """After a hot swap the pipeline serves the new generation
+        bitwise-identically to a fresh pipeline on that model."""
         model, split = fitted
-        pipe = make_pipeline(model, split, preset)
-        fresh_b = make_pipeline(model_b, split, "inline")
+        pipe = make_pipeline(model, split)
+        fresh_b = make_pipeline(model_b, split)
         X = split.X_test[:96]
-        try:
-            pipe.process(X)  # lazily builds the worker surface
-            pipe.swap_model(model_b, split.X_val)
-            got = pipe.process(X)
-            assert pipe.generation == 1
-            assert pipe.chain.last_executor == preset
-            assert_batches_equal(got, fresh_b.process(X))
-        finally:
-            pipe.close()
-            fresh_b.close()
+        pipe.process(X)
+        pipe.swap_model(model_b, split.X_val)
+        assert pipe.generation == 1
+        assert_batches_equal(pipe.process(X), fresh_b.process(X))
 
-
-class TestBackendConformance:
-    """Executors inherit the active backend by name into their workers."""
-
-    @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
-    def test_score_under_tiled_backend_matches_inline(self, kind, fitted):
-        from repro.backend import use_backend
-
+    def test_chain_scores_the_model_it_is_handed(self, fitted, model_b):
         model, split = fitted
-        with use_backend("tiled"):
-            executor = make_executor(
-                kind, lambda: build_scoring_spec(model, "ed"), lambda: model
-            )
-            try:
-                scores, routing = executor.score(split.X_test)
-            finally:
-                executor.close()
-            exp_s, exp_r = model.score_batch(split.X_test, strategy="ed")
-        np.testing.assert_array_equal(scores, exp_s)
-        np.testing.assert_array_equal(routing, exp_r)
-
-    def test_spec_records_active_backend(self, fitted):
-        from repro.backend import use_backend
-
-        model, _ = fitted
-        assert build_scoring_spec(model, "ed").backend == "numpy"
-        with use_backend("tiled"):
-            assert build_scoring_spec(model, "ed").backend == "tiled"
-
-
-class TestUpdateSpecVisibility:
-    @pytest.mark.parametrize("kind", WORKER_KINDS)
-    def test_new_spec_visible_to_workers(self, kind, fitted, model_b):
-        model, split = fitted
-        executor = make_executor(
-            kind, lambda: build_scoring_spec(model, "ed"), lambda: model
-        )
-        X = split.X_test[:64]
-        try:
-            executor.score(X)  # builds the worker surface on model A
-            assert executor.needs_spec()
-            executor.update_spec(build_scoring_spec(model_b, "ed"))
-            scores, routing = executor.score(X)
-        finally:
-            executor.close()
-        exp_s, exp_r = model_b.score_batch(X, strategy="ed")
-        np.testing.assert_array_equal(scores, exp_s)
-        np.testing.assert_array_equal(routing, exp_r)
-
-    def test_inline_tracks_model_ref_without_spec(self, fitted, model_b):
-        model, split = fitted
-        holder = {"model": model}
-        executor = InlineExecutor(lambda: holder["model"], "ed")
+        chain = FallbackChain("ed")
         X = split.X_test[:32]
-        assert not executor.needs_spec()  # nothing consumes a spec push
-        before = executor.score(X)
-        holder["model"] = model_b
-        after = executor.score(X)
-        np.testing.assert_array_equal(
-            before[0], model.score_batch(X, strategy="ed")[0]
-        )
-        np.testing.assert_array_equal(
-            after[0], model_b.score_batch(X, strategy="ed")[0]
-        )
+        for m in (model, model_b, model):
+            np.testing.assert_array_equal(
+                chain.score(m, X)[0], m.score_batch(X, strategy="ed")[0]
+            )
 
 
-class TestFallbackMatrix:
-    def test_infra_faults_demote_in_chain_order(self):
-        telemetry = TelemetryRegistry()
-        first = StubExecutor("first", ExecutorUnavailable("shm gone"))
-        second = StubExecutor("second", ExecutorUnavailable("pool broke"))
-        ok = StubExecutor("ok", (np.ones(3), np.zeros(3, dtype=np.int64)))
-        chain = FallbackChain([first, second, ok], telemetry=telemetry)
-        scores, routing = chain.score(np.zeros((3, 4)))
-        np.testing.assert_array_equal(scores, np.ones(3))
-        assert (first.calls, second.calls, ok.calls) == (1, 1, 1)
-        assert chain.last_executor == "ok"
-        assert telemetry.counters["serve.executor.demotions"] == 2
-        demoted = [e for e in telemetry.events
-                   if e.name == "serve.executor.demoted"]
-        assert [e.fields["executor"] for e in demoted] == ["first", "second"]
+class TestChainSurface:
+    def test_chain_holds_one_inline_executor(self, fitted):
+        model, split = fitted
+        pipe = make_pipeline(model, split, strategy="msp")
+        assert [ex.name for ex in pipe.chain] == ["inline"]
+        assert pipe.chain.executors[0].strategy == "msp"
 
-    def test_dead_and_ineligible_executors_skipped_without_call(self):
-        dead = StubExecutor("dead", (None, None), alive=False)
-        small = StubExecutor("small", (None, None), eligible=False)
-        ok = StubExecutor("ok", (np.zeros(2), np.zeros(2, dtype=np.int64)))
-        chain = FallbackChain([dead, small, ok],
-                              telemetry=TelemetryRegistry())
-        chain.score(np.zeros((2, 4)))
-        assert dead.calls == 0 and small.calls == 0 and ok.calls == 1
+    def test_chain_score_called_once_per_scored_batch(self, fitted, monkeypatch):
+        model, split = fitted
+        calls = []
+        original = FallbackChain.__dict__["score"]
 
-    def test_model_fault_propagates_without_demotion(self):
-        telemetry = TelemetryRegistry()
-        faulty = StubExecutor("faulty", ValueError("bad weights"))
-        ok = StubExecutor("ok", (np.zeros(2), np.zeros(2, dtype=np.int64)))
-        chain = FallbackChain([faulty, ok], telemetry=telemetry)
-        with pytest.raises(ValueError, match="bad weights"):
-            chain.score(np.zeros((2, 4)))
-        assert ok.calls == 0  # a model fault is NOT an executor problem
-        assert "serve.executor.demotions" not in telemetry.counters
+        def counting(self, model, X):
+            calls.append(len(X))
+            return original(self, model, X)
 
-    def test_every_executor_down_raises_unavailable(self):
-        chain = FallbackChain(
-            [StubExecutor("a", ExecutorUnavailable("down")),
-             StubExecutor("b", (None, None), alive=False)],
-            telemetry=TelemetryRegistry(),
-        )
-        with pytest.raises(ExecutorUnavailable):
-            chain.score(np.zeros((2, 4)))
-
-    def test_reset_and_close_fan_out_to_all_executors(self):
-        stubs = [StubExecutor(f"s{i}", (None, None)) for i in range(3)]
-        chain = FallbackChain(stubs, telemetry=TelemetryRegistry())
-        chain.reset()
-        chain.close()
-        chain.close()  # idempotent at the chain level too
-        assert all(s.reset_calls == 1 for s in stubs)
-        assert all(s.close_calls == 2 for s in stubs)
+        monkeypatch.setattr(FallbackChain, "score", counting)
+        pipe = make_pipeline(model, split)
+        pipe.process(split.X_test[:40])
+        assert calls == [40]
+        all_bad = np.full((5, split.X_test.shape[1]), np.nan)
+        pipe.process(all_bad)  # nothing left to score
+        assert calls == [40]
 
 
 class TestBreakerContract:
-    """The pipeline treats every executor identically at the guardrails."""
-
-    def test_infra_fault_never_touches_breaker(self, fitted):
-        model, split = fitted
-        telemetry = TelemetryRegistry()
-        pipe = make_pipeline(model, split, "inline", telemetry=telemetry)
-        pipe.chain.executors.insert(
-            0, StubExecutor("flaky", ExecutorUnavailable("transient"))
-        )
-        batch = pipe.process(split.X_test)
-        pipe.close()
-        assert not batch.degraded
-        assert pipe.circuit_breaker.state == "closed"
-        assert telemetry.counters["serve.executor.demotions"] == 1
-        assert "resilience.scoring_faults" not in telemetry.counters
-
     def test_model_fault_reports_to_breaker(self, fitted):
         model, split = fitted
         telemetry = TelemetryRegistry()
-        pipe = make_pipeline(model, split, "inline", telemetry=telemetry)
-        pipe.chain.executors.insert(
-            0, StubExecutor("faulty", ValueError("injected model fault"))
-        )
+        pipe = make_pipeline(model, split, telemetry=telemetry)
+        pipe.chain.executors[0] = FaultyExecutor()
         batch = pipe.process(split.X_test)
-        pipe.close()
         assert batch.degraded  # scored by the reconstruction fallback
         assert telemetry.counters["resilience.scoring_faults"] == 1
-        assert "serve.executor.demotions" not in telemetry.counters
-
-
-class TestCloseIdempotent:
-    @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
-    def test_double_close_after_scoring(self, kind, fitted):
-        model, split = fitted
-        executor = make_executor(
-            kind, lambda: build_scoring_spec(model, "ed"), lambda: model
-        )
-        executor.score(split.X_test[:32])
-        executor.close()
-        executor.close()
-
-    def test_external_daemon_survives_executor_close(self, fitted):
-        model, split = fitted
-        daemon = ServingDaemon(build_scoring_spec(model, "ed")).start()
-        try:
-            executor = DaemonExecutor(
-                lambda: build_scoring_spec(model, "ed"), daemon=daemon
-            )
-            executor.score(split.X_test[:16])
-            executor.close()
-            assert daemon.alive  # caller owns the lifecycle
-        finally:
-            daemon.close()
-
-
-class TestStriping:
-    def test_large_batch_stripes_across_workers_in_order(self, fitted):
-        model, split = fitted
-        telemetry = TelemetryRegistry()
-        executor = StripedDaemonExecutor(
-            lambda: build_scoring_spec(model, "ed"),
-            n_workers=2, stripe_min_rows=8, telemetry=telemetry,
-        )
-        X = split.X_test
-        try:
-            scores, routing = executor.score(X)
-        finally:
-            executor.close()
-        exp_s, exp_r = model.score_batch(X, strategy="ed")
-        np.testing.assert_array_equal(scores, exp_s)  # in-order merge
-        np.testing.assert_array_equal(routing, exp_r)
-        assert telemetry.counters["serve.daemon.stripes"] == 2
-        assert telemetry.counters["serve.daemon.striped_batches"] == 1
-        assert executor.telemetry_tags()["n_stripes"] == 2
-
-    def test_small_batch_takes_plain_daemon_path(self, fitted):
-        model, split = fitted
-        telemetry = TelemetryRegistry()
-        executor = StripedDaemonExecutor(
-            lambda: build_scoring_spec(model, "ed"),
-            n_workers=2, stripe_min_rows=10_000, telemetry=telemetry,
-        )
-        try:
-            executor.score(split.X_test)
-        finally:
-            executor.close()
-        assert "serve.daemon.stripes" not in telemetry.counters
-        assert executor.telemetry_tags()["n_stripes"] == 0
-
-    def test_submit_handle_merges_like_score(self, fitted):
-        """The async submit() surface (used by the replay bench) returns
-        a handle whose result is the same in-order merge."""
-        model, split = fitted
-        executor = StripedDaemonExecutor(
-            lambda: build_scoring_spec(model, "ed"),
-            n_workers=2, stripe_min_rows=8,
-        )
-        X = split.X_test
-        try:
-            handle = executor.submit(X)
-            scores, routing = handle.result(60.0)
-            assert handle.t_done is not None
-        finally:
-            executor.close()
-        exp_s, exp_r = model.score_batch(X, strategy="ed")
-        np.testing.assert_array_equal(scores, exp_s)
-        np.testing.assert_array_equal(routing, exp_r)
+        event = [e for e in telemetry.events if e.name == "serve.batch"][-1]
+        assert event.fields["executor"] == "none"

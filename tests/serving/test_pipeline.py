@@ -1,5 +1,9 @@
 """Scoring pipeline end-to-end."""
 
+import copy
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -118,3 +122,43 @@ class TestProcessing:
         pipe = ScoringPipeline(model, policy="budget", monitor_drift=False)
         pipe.calibrate(split.X_val)
         assert pipe.process(split.X_test).drift is None
+
+
+@pytest.fixture
+def gc_disabled():
+    """Only reference counting frees objects inside the test."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+class TestReferenceCycles:
+    """A replaced deployment is freed at once, not at the next collection."""
+
+    def test_served_pipeline_and_its_model_freed_by_del(self, fitted, gc_disabled):
+        base, split = fitted
+        model = copy.deepcopy(base)
+        pipe = ScoringPipeline(model, policy="f1").calibrate(
+            split.X_val, split.y_val_binary
+        )
+        pipe.process(split.X_test[:50])
+        pipe_ref, model_ref = weakref.ref(pipe), weakref.ref(model)
+        del pipe, model
+        assert pipe_ref() is None
+        assert model_ref() is None
+
+    def test_model_retired_by_swap_freed_when_swap_returns(self, fitted, gc_disabled):
+        base, split = fitted
+        old, new = copy.deepcopy(base), copy.deepcopy(base)
+        pipe = ScoringPipeline(old, policy="f1").calibrate(
+            split.X_val, split.y_val_binary
+        )
+        pipe.process(split.X_test[:50])
+        old_ref = weakref.ref(old)
+        del old
+        pipe.swap_model(new, split.X_val, split.y_val_binary)
+        assert pipe.model is new
+        assert old_ref() is None

@@ -99,35 +99,6 @@ class TestTaxonomyCLI:
         assert code == 2
 
 
-class TestServeBenchCLI:
-    def test_serve_bench_replays_and_reports(self, capsys, tmp_path):
-        json_path = tmp_path / "replay.json"
-        code = main([
-            "serve-bench", "--dataset", "kddcup99", "--scale", "0.02",
-            "--seed", "0", "--k", "3", "--rate", "200", "--requests", "40",
-            "--batch-mix", "8:0.5,32:0.5", "--json", str(json_path),
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "kddcup99/single:" in out
-        assert "kddcup99/daemon:" in out
-        assert "daemon vs single:" in out
-        assert "daemon SLO gauges:" in out
-        payload = json.loads(json_path.read_text())
-        assert payload["single"]["n_requests"] == 40
-        assert payload["daemon"]["n_requests"] == 40
-        assert payload["daemon"]["rows"] == payload["single"]["rows"]
-        assert payload["daemon"]["latency_p99_ms"] > 0
-        assert payload["daemon_speedup_vs_single"] > 0
-
-    def test_serve_bench_rejects_bad_batch_mix(self, capsys):
-        with pytest.raises(ValueError):
-            main([
-                "serve-bench", "--dataset", "kddcup99", "--scale", "0.02",
-                "--batch-mix", "0:1.0",
-            ])
-
-
 class TestResilienceCLI:
     @pytest.fixture(scope="class")
     def model_path(self, tmp_path_factory):
