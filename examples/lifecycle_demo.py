@@ -73,7 +73,7 @@ def main() -> None:
     print("\nRecovery report:")
     print(f"  batches to detection: {d['batches_to_detection']}, "
           f"detection->swap {d['detection_to_swap_seconds']:.2f}s")
-    print(f"  AUPRC on the shifted regime: {d['auprc_before_drift']:.3f} "
+    print(f"  AUPRC on the shifted regime: {d['auprc_stale_final']:.3f} "
           f"(old model) -> {d['auprc_final']:.3f} (after swap)")
     print(f"  swaps: {d['swaps']}, rollbacks: {d['rollbacks']}, "
           f"recovered: {d['recovered']}")

@@ -8,7 +8,7 @@
 #   scripts/ci.sh chaos    # chaos lane only (-m chaos fault-injection scenarios)
 #   scripts/ci.sh taxonomy # anomaly-taxonomy lane (-m taxonomy injector/sweep tests)
 #   scripts/ci.sh lifecycle # drift-triggered refit + hot-swap suites + CLI smoke
-#   scripts/ci.sh backend  # numpy backend conformance, fused kernels, plan cache
+#   scripts/ci.sh backend  # numpy backend conformance, fused kernels, plan cache, serving parity
 #   scripts/ci.sh perfbench # benchmark self-test + 3 s runs of every workload
 #
 # The tier-1 gate is the canonical `PYTHONPATH=src python -m pytest -x -q`
@@ -91,16 +91,19 @@ run_lifecycle() {
 }
 
 run_backend() {
-    # The execution-backend lane: the registry-parametrized conformance
-    # suite (compiled-vs-graph parity under the numpy backend at its
-    # published parity_atol, plus switching to a test-local second
-    # backend), the backend registry tests, the fused-kernel dispatch
-    # suite, the backend-keyed plan cache, and the end-to-end parity
-    # suite.
-    echo '== backend lane: numpy backend conformance =='
+    # The execution-backend lane, which guards serving parity: the
+    # registry-parametrized conformance suite (compiled-vs-graph parity
+    # under the numpy backend at its published parity_atol, plus switching
+    # to a test-local second backend), the backend registry tests, the
+    # fused-kernel dispatch suite, the backend-keyed plan cache, the OOD
+    # kernels bitwise against scipy and the threshold loop, one-pass
+    # routing against the three-step reference, and the end-to-end parity
+    # suite (every scoring path bitwise with the scipy-based forms).
+    echo '== backend lane: numpy backend conformance and serving parity =='
     python -m pytest -x -q tests/backend \
         tests/nn/test_backend_conformance.py \
         tests/nn/test_fused_kernels.py tests/nn/test_plan_cache.py \
+        tests/ood/test_kernel_parity.py tests/core/test_scoring.py \
         tests/test_inference_parity.py
 }
 

@@ -334,6 +334,7 @@ def cmd_lifecycle(args) -> int:
     print(f"  AUPRC before drift:     {d['auprc_before_drift']:.3f}")
     print(f"  AUPRC at detection:     {d['auprc_at_detection']:.3f}")
     print(f"  AUPRC after recovery:   {d['auprc_final']:.3f}")
+    print(f"  AUPRC of stale model:   {d['auprc_stale_final']:.3f}")
     print(f"  swaps / rollbacks:      {d['swaps']} / {d['rollbacks']}")
     print(f"  recovered:              {d['recovered']}")
     report = manager.report()

@@ -55,15 +55,16 @@ def route_from_logits(
     :class:`TargAD` defer strategy calibration until routing actually
     needs it. Shared by :meth:`TargAD.predict_triclass` and
     ``score_batch`` — one definition, identical routing on both paths.
-    Returns the kind codes of :mod:`repro.data.schema` (0/1/2).
+    Returns the kind codes of :mod:`repro.data.schema` (0/1/2), int64.
+
+    One pass: the normality rule is evaluated once, the codes are built
+    with one ``np.where``, and the strategy scores only the anomalous
+    rows.
     """
-    normal_mask = is_normal_rule(probs, m, k)
-    result = np.full(len(logits), KIND_TARGET, dtype=np.int64)
-    result[normal_mask] = KIND_NORMAL
-    anomalous = ~normal_mask
-    if anomalous.any():
+    normal = is_normal_rule(probs, m, k)
+    codes = np.where(normal, np.int64(KIND_NORMAL), np.int64(KIND_TARGET))
+    anomalous = np.flatnonzero(~normal)
+    if anomalous.size:
         strat = strategy() if callable(strategy) else strategy
-        ood_mask = strat.is_ood(logits[anomalous])
-        anomalous_idx = np.flatnonzero(anomalous)
-        result[anomalous_idx[ood_mask]] = KIND_NONTARGET
-    return result
+        codes[anomalous[strat.is_ood(logits[anomalous])]] = KIND_NONTARGET
+    return codes

@@ -11,7 +11,10 @@ story is judged on:
   the hot-swap completing (from the swap event's details);
 - **accuracy recovery curve** — AUPRC of the *live* model on a held-out
   evaluation slice from the shifted regime, measured after every batch,
-  so the refit's recovery (and the pre-swap degradation) is visible.
+  so the refit's recovery (and the pre-swap degradation) is visible;
+- **the counterfactual** — the same slice scored at the end by the model
+  that served before the first batch, so recovery is judged against
+  what the deployment would score had it never swapped.
 
 Used by ``repro lifecycle`` (CLI) and ``examples/lifecycle_demo.py``.
 """
@@ -27,6 +30,11 @@ from repro.lifecycle.manager import LifecycleManager
 from repro.metrics.ranking import auprc
 
 __all__ = ["DriftReplayResult", "drift_replay", "make_split_oracle", "shift_regime"]
+
+#: AUPRC the swapped-in model must gain over the stale one, on the same
+#: shifted eval slice, for the replay to count as recovered. A refit that
+#: changes nothing gains 0 and fails.
+RECOVERY_MARGIN = 0.01
 
 
 def shift_regime(X: np.ndarray, shift: float, fraction: float = 0.5,
@@ -78,6 +86,7 @@ class DriftReplayResult:
     auprc_before_drift: float = 0.0
     auprc_at_detection: float = 0.0
     auprc_final: float = 0.0
+    auprc_stale_final: float = 0.0
     swaps: int = 0
     rollbacks: int = 0
 
@@ -87,17 +96,16 @@ class DriftReplayResult:
 
     @property
     def recovered(self) -> bool:
-        """A swap happened and the new generation held the accuracy line.
+        """A swap landed and the live model beats the stale one by the margin.
 
-        ``auprc_before_drift`` is the *old* model scored on the shifted
-        eval slice — the accuracy the deployment would be stuck at
-        without a refit. Recovery means a swap completed and the final
-        live model reaches at least 95% of that floor (normally it
-        exceeds it; the tolerance absorbs gate-passing refits on easy
-        regimes where the old model was never badly hurt).
+        ``auprc_stale_final`` is the model that served before the first
+        batch, scored on the same shifted eval slice as ``auprc_final``:
+        the accuracy the deployment would be stuck at without a refit.
+        Recovery needs the live model to win by at least
+        :data:`RECOVERY_MARGIN` AUPRC.
         """
         return self.swaps > 0 and (
-            self.auprc_final >= 0.95 * self.auprc_before_drift
+            self.auprc_final - self.auprc_stale_final >= RECOVERY_MARGIN
         )
 
     def to_dict(self) -> dict:
@@ -107,6 +115,7 @@ class DriftReplayResult:
             "auprc_before_drift": round(self.auprc_before_drift, 4),
             "auprc_at_detection": round(self.auprc_at_detection, 4),
             "auprc_final": round(self.auprc_final, 4),
+            "auprc_stale_final": round(self.auprc_stale_final, 4),
             "recovered": self.recovered,
             "swaps": self.swaps,
             "rollbacks": self.rollbacks,
@@ -134,6 +143,7 @@ def drift_replay(
     say = progress if progress is not None else (lambda msg: None)
     result = DriftReplayResult()
     y_eval = np.asarray(y_eval, dtype=np.int64).ravel()
+    stale_model = manager.pipeline.model
 
     def serve(X_batch: np.ndarray, phase: str) -> None:
         gen_before = manager.pipeline.generation
@@ -186,4 +196,5 @@ def drift_replay(
     if result.batches_to_detection is not None and not result.auprc_at_detection:
         result.auprc_at_detection = result.auprc_before_drift
     result.auprc_final = result.batches[-1]["auprc"] if result.batches else 0.0
+    result.auprc_stale_final = float(auprc(y_eval, stale_model.decision_function(X_eval)))
     return result

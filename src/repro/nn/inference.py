@@ -46,8 +46,7 @@ The numeric contract: at ``float64`` (the default, per the
 the exact same floating-point operations as the graph forward, so
 outputs agree bitwise (the parity suite asserts atol 1e-9 and equality).
 ``float32`` is an explicit opt-in (``dtype="float32"``) that casts the
-weights once at compile time and trades ~1e-6 relative error for roughly
-double throughput.
+weights once at compile time, at about 1e-6 relative error.
 
 Weights are captured *by reference* at compile time (no copy at
 ``float64``). In-place writes to a captured array (``param.data[:] =

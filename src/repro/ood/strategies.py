@@ -29,11 +29,34 @@ candidates) by maximizing balanced accuracy over candidate cut points.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Type
+from typing import Dict, Optional, Tuple, Type
 
 import numpy as np
 
-from scipy.special import logsumexp
+
+def _logsumexp_rows(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Row-wise ``log(sum(exp(a)))`` of a 2-D float64 array, and the row max.
+
+    Replays ``scipy.special.logsumexp(a, axis=1)``'s real-input algorithm
+    one operation at a time, so the result is bitwise scipy's (ties, ±inf
+    and NaN included) without its array-API dispatch, which costs more
+    than the classifier forward on a serving batch. The maxima are split
+    out of the sum and counted (``m``), the rest is shifted by the row
+    max ``M``, and a row whose stable form is not finite falls back to
+    the direct formula. Raises no floating-point warnings.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        M = a.max(axis=1)
+        col = M[:, None]
+        top = a == col
+        m = top.sum(axis=1, dtype=np.float64)
+        s = np.exp(np.where(top, -np.inf, a) - col).sum(axis=1)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + M
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.exp(a[bad]).sum(axis=1))
+    return out, M
 
 
 class OODStrategy:
@@ -52,7 +75,10 @@ class OODStrategy:
         """Calibrate the ID/OOD cut from labeled examples of both sides.
 
         Maximizes balanced accuracy over midpoints of adjacent distinct
-        scores (an exhaustive scan — score arrays here are small).
+        scores and keeps the first maximum. One sorted pass: at every cut,
+        ``searchsorted`` counts the ID scores passed (``<= cut``) and the
+        OOD scores flagged (``> cut``). A NaN score is neither; a NaN cut
+        passes and flags nothing.
         """
         id_scores = self.ood_score(np.asarray(id_logits, dtype=np.float64))
         ood_scores = self.ood_score(np.asarray(ood_logits, dtype=np.float64))
@@ -63,14 +89,17 @@ class OODStrategy:
             self.threshold_ = float(all_scores[0])
             return self.threshold_
         cuts = (all_scores[:-1] + all_scores[1:]) / 2.0
-        best_cut, best_bal = cuts[0], -1.0
-        for cut in cuts:
-            tpr = float((ood_scores > cut).mean())   # OOD correctly flagged
-            tnr = float((id_scores <= cut).mean())   # ID correctly passed
-            balanced = 0.5 * (tpr + tnr)
-            if balanced > best_bal:
-                best_bal, best_cut = balanced, cut
-        self.threshold_ = float(best_cut)
+        # NaN sorts last, so a search counts only the non-NaN scores <= cut.
+        ood_valid = len(ood_scores) - np.isnan(ood_scores).sum()
+        id_passed = np.searchsorted(np.sort(id_scores), cuts, side="right")
+        ood_flagged = ood_valid - np.searchsorted(np.sort(ood_scores), cuts, side="right")
+        nan_cut = np.isnan(cuts)
+        id_passed[nan_cut] = 0
+        ood_flagged[nan_cut] = 0
+        tpr = ood_flagged / len(ood_scores)   # OOD correctly flagged
+        tnr = id_passed / len(id_scores)      # ID correctly passed
+        balanced = 0.5 * (tpr + tnr)
+        self.threshold_ = float(cuts[np.argmax(balanced)])
         return self.threshold_
 
     def is_ood(self, logits: np.ndarray) -> np.ndarray:
@@ -106,7 +135,7 @@ class EnergyScore(OODStrategy):
 
     def ood_score(self, logits: np.ndarray) -> np.ndarray:
         logits = np.asarray(logits, dtype=np.float64)
-        return -self.temperature * logsumexp(logits / self.temperature, axis=1)
+        return -self.temperature * _logsumexp_rows(logits / self.temperature)[0]
 
 
 class EnergyDiscrepancy(OODStrategy):
@@ -135,8 +164,8 @@ class EnergyDiscrepancy(OODStrategy):
             if logits.shape[1] < self.n_dims:
                 raise ValueError(f"logits have {logits.shape[1]} dims, need >= {self.n_dims}")
             logits = logits[:, : self.n_dims]
-        scaled = logits / self.temperature
-        return self.temperature * (logsumexp(scaled, axis=1) - scaled.max(axis=1))
+        lse, row_max = _logsumexp_rows(logits / self.temperature)
+        return self.temperature * (lse - row_max)
 
 
 STRATEGIES: Dict[str, Type[OODStrategy]] = {

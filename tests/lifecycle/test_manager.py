@@ -3,27 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import TargAD, TargADConfig
 from repro.lifecycle import DriftPolicy, LifecycleManager
 from repro.obs import TelemetryRegistry
 from repro.resilience import SwapFaultInjector, SwapFaultPlan
 from repro.serving import ScoringPipeline
-
-
-@pytest.fixture(scope="module")
-def split():
-    from tests.conftest import TINY_SPEC, make_tiny_generator
-    from repro.data.splits import build_split
-
-    return build_split(make_tiny_generator(0), TINY_SPEC, scale=1.0, random_state=0)
-
-
-@pytest.fixture(scope="module")
-def model(split):
-    model = TargAD(TargADConfig(random_state=0, k=2, ae_lr=3e-3,
-                                ae_epochs=10, clf_epochs=12))
-    model.fit(split.X_unlabeled, split.X_labeled, split.y_labeled)
-    return model
 
 
 def make_manager(split, model, *, policy=None, oracle=None, injector=None,

@@ -6,7 +6,11 @@ rename or removal fails CI instead of silently rotting the docs.
 """
 
 import argparse
+import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,6 +28,39 @@ def design_module_paths(text):
         names = stem.strip("{}").split(",") if stem.startswith("{") else [stem]
         paths += [f"{pkg}/{name.strip()}.py" for name in names]
     return paths
+
+
+def requirement_names(requirements):
+    """Distribution names of PEP 508 requirement strings, lower-cased."""
+    return {re.split(r"[\s<>=!~;\[]", req, maxsplit=1)[0].lower() for req in requirements}
+
+
+def pyproject_list(table, key):
+    """A string-list value of ``pyproject.toml``, without ``tomllib``.
+
+    ``tomllib`` arrived in Python 3.11 and the project supports 3.10, so
+    the array is cut out of its table and read as a Python literal.
+    """
+    text = (REPO / "pyproject.toml").read_text()
+    body = text.split(f"\n[{table}]\n", 1)[1].split("\n[", 1)[0]
+    match = re.search(rf"^{key}\s*=\s*(\[.*?\])", body, re.MULTILINE | re.DOTALL)
+    return ast.literal_eval(match.group(1))
+
+
+def top_level_imports(root):
+    """``{module: first file importing it}`` for absolute imports under ``root``."""
+    found = {}
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                found.setdefault(module.split(".")[0], path.relative_to(REPO))
+    return found
 
 
 def registered_subcommands():
@@ -110,6 +147,55 @@ class TestFileReferences:
             assert (REPO / path).exists(), f"{doc} names missing {path}"
         for name in set(re.findall(r"BENCH_\w+\.json", text)):
             assert (REPO / name).exists(), f"{doc} names missing {name}"
+
+
+class TestDependencies:
+    @pytest.fixture(scope="class")
+    def runtime(self):
+        return requirement_names(pyproject_list("project", "dependencies"))
+
+    @pytest.fixture(scope="class")
+    def dev(self):
+        return requirement_names(pyproject_list("project.optional-dependencies", "dev"))
+
+    def test_hand_reader_agrees_with_tomllib(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(REPO / "pyproject.toml", "rb") as fh:
+            project = tomllib.load(fh)["project"]
+        assert pyproject_list("project", "dependencies") == project["dependencies"]
+        assert (pyproject_list("project.optional-dependencies", "dev")
+                == project["optional-dependencies"]["dev"])
+
+    def test_every_import_is_stdlib_repro_or_declared(self, runtime):
+        imports = top_level_imports(REPO / "src" / "repro")
+        assert "numpy" in imports  # the walk reads the package
+        undeclared = {
+            module: str(path) for module, path in imports.items()
+            if module not in sys.stdlib_module_names
+            and module != "repro" and module not in runtime
+        }
+        assert not undeclared, f"imported but not a runtime dependency: {undeclared}"
+
+    def test_scipy_is_test_only(self, runtime, dev):
+        assert "scipy" not in runtime
+        assert "scipy" in dev
+
+    def test_importing_the_package_loads_no_scipy(self):
+        code = ("import sys, repro, repro.serving, repro.lifecycle; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.strip() == "[]", out.stdout
+
+    @pytest.mark.parametrize("extra", ["runtime", "dev"])
+    def test_readme_install_lines_name_exactly_the_dependencies(self, runtime, dev, extra):
+        command = r"pip install -e \." if extra == "runtime" else r'pip install -e "\.\[dev\]"'
+        readme = (REPO / "README.md").read_text()
+        comment = re.search(rf"^{command}\s+#(.*)$", readme, re.MULTILINE).group(1)
+        named = set(re.findall(r"[a-z][\w-]*", comment.lower()))
+        expected = runtime if extra == "runtime" else dev
+        assert named & (runtime | dev) == expected, comment
 
 
 class TestCliReferences:

@@ -10,12 +10,18 @@ must construct zero Tensor objects per batch.
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
+import repro.core.model as model_module
+import repro.ood.strategies as strategies_module
 from repro.autodiff import Tensor
 from repro.core import TargAD, TargADConfig
+from repro.data.schema import KIND_NONTARGET
 from repro.nn import force_graph_forward
 from repro.resilience import ReconstructionFallback
 from repro.serving import ScoringPipeline
+from tests.core.test_scoring import reference_route
+from tests.ood.test_kernel_parity import loop_threshold
 
 ATOL = 1e-9
 
@@ -62,6 +68,61 @@ class TestTargADParity:
         scores, routing = model.score_batch(X)
         np.testing.assert_array_equal(scores, model.decision_function(X))
         np.testing.assert_array_equal(routing, model.predict_triclass(X))
+
+
+def scipy_rows(a):
+    return logsumexp(a, axis=1), a.max(axis=1)
+
+
+def loop_fit_threshold(self, id_logits, ood_logits):
+    id_scores = self.ood_score(np.asarray(id_logits, dtype=np.float64))
+    ood_scores = self.ood_score(np.asarray(ood_logits, dtype=np.float64))
+    self.threshold_ = loop_threshold(id_scores, ood_scores)
+    return self.threshold_
+
+
+def serve_everything(model, split):
+    """Every scoring path's output, with the strategies calibrated afresh."""
+    X = split.X_test
+    out = []
+    for strategy in ("msp", "es", "ed"):
+        model._strategies = {}
+        out += list(model.score_batch(X, strategy=strategy))
+        out.append(model.predict_triclass(X, strategy=strategy))
+        calibrated = model._get_strategy(strategy)
+        out += [calibrated.threshold_, calibrated.ood_score(model.logits(X))]
+        pipe = ScoringPipeline(model, policy="f1", strategy=strategy)
+        pipe.calibrate(split.X_val, split.y_val_binary, X_reference=split.X_unlabeled)
+        for rows in (8, 32, 128, len(X)):
+            for start in range(0, len(X), rows):
+                batch = pipe.process(X[start:start + rows])
+                out += [batch.scores, batch.routing, batch.alerts, batch.deferred,
+                        batch.threshold]
+    return out
+
+
+class TestScipyReferenceParity:
+    """Scoring with the numpy kernels is bitwise scoring with the parent's forms.
+
+    The reference arm patches scipy's logsumexp back under ES and ED, the
+    exhaustive threshold loop back into calibration, and the three-step
+    routing back into ``TargAD``.
+    """
+
+    def test_every_scoring_path_bitwise(self, fitted, monkeypatch):
+        model, split = fitted
+        monkeypatch.setattr(model, "_strategies", {})
+        with monkeypatch.context() as mp:
+            mp.setattr(strategies_module, "_logsumexp_rows", scipy_rows)
+            mp.setattr(strategies_module.OODStrategy, "fit_threshold", loop_fit_threshold)
+            mp.setattr(model_module, "route_from_logits", reference_route)
+            reference = serve_everything(model, split)
+        ours = serve_everything(model, split)
+        assert len(ours) == len(reference)
+        assert any(np.any(np.asarray(x) == KIND_NONTARGET) for x in ours)  # the OOD side is exercised
+        for got, want in zip(ours, reference):
+            assert np.asarray(got).dtype == np.asarray(want).dtype
+            np.testing.assert_array_equal(got, want)
 
 
 class TestSelectorAndFallbackParity:
