@@ -15,55 +15,15 @@ Environment knobs:
 - ``REPRO_BENCH_MODELS`` — comma-separated detector subset for the
   robustness figures (default a representative set; "all" for every
   semi-supervised baseline).
-- ``REPRO_BENCH_TIMING_DIR`` — where per-phase timing JSON lands
-  (default ``benchmarks/timings/``).
 """
 
 from __future__ import annotations
 
-import json
 import os
-from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.05"))
 BENCH_SEEDS = list(range(int(os.environ.get("REPRO_BENCH_SEEDS", "3"))))
-
-TIMING_FORMAT_VERSION = 1
-
-
-def timing_dir() -> Path:
-    """Directory for per-phase timing JSON files."""
-    default = Path(__file__).parent / "timings"
-    return Path(os.environ.get("REPRO_BENCH_TIMING_DIR", str(default)))
-
-
-def write_phase_timings(
-    bench_name: str,
-    phases: Dict[str, float],
-    extra: Optional[Dict] = None,
-) -> Path:
-    """Dump one benchmark's per-phase wall-clock seconds as JSON.
-
-    Written *alongside* the printed results (never into them), so the
-    ``BENCH_*`` trajectories gain a time axis without any existing result
-    field changing. ``phases`` is typically
-    ``repro.obs.PhaseTimer.as_dict()``.
-    """
-    payload = {
-        "format_version": TIMING_FORMAT_VERSION,
-        "bench": bench_name,
-        "scale": BENCH_SCALE,
-        "phases": {name: round(float(seconds), 6) for name, seconds in phases.items()},
-        "total_s": round(float(sum(phases.values())), 6),
-    }
-    if extra:
-        payload.update(extra)
-    out_dir = timing_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{bench_name}_timing.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    return path
 
 _DEFAULT_FIG4_MODELS = ["DevNet", "DeepSAD", "PIA-WAL", "PReNet", "TargAD"]
 

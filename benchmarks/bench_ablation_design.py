@@ -15,14 +15,18 @@ Probes three implementation decisions on UNSW-NB15:
 """
 
 import numpy as np
-import pytest
 
 from _common import BENCH_SCALE, BENCH_SEEDS
-from repro.core import TargAD, TargADConfig
 from repro.core.candidate_selection import CandidateSelector
 from repro.data import load_dataset
 from repro.eval import ResultTable
-from repro.metrics import auprc
+from repro.experiments import ablation
+
+
+def mean_auprc(variants):
+    """Mean test AUPRC per TargAD variant over the bench seeds."""
+    rows = ablation("unsw_nb15", variants=variants, seeds=BENCH_SEEDS, scale=BENCH_SCALE)
+    return {label: row["auprc"] for label, row in rows.items()}
 
 
 def test_candidate_normalization(benchmark):
@@ -54,20 +58,8 @@ def test_candidate_normalization(benchmark):
 
 
 def test_k_sensitivity(benchmark):
-    def run():
-        rows = {}
-        for label, k in (("elbow", None), ("k=2", 2), ("k=4 (true)", 4), ("k=6", 6)):
-            values = []
-            for seed in BENCH_SEEDS:
-                split = load_dataset("unsw_nb15", random_state=seed, scale=BENCH_SCALE)
-                model = TargAD(TargADConfig(random_state=seed, k=k))
-                model.fit(split.X_unlabeled, split.X_labeled, split.y_labeled)
-                values.append(auprc(split.y_test_binary,
-                                    model.decision_function(split.X_test)))
-            rows[label] = float(np.mean(values))
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    variants = {"elbow": {"k": None}, "k=2": {"k": 2}, "k=4 (true)": {"k": 4}, "k=6": {"k": 6}}
+    rows = benchmark.pedantic(mean_auprc, args=(variants,), rounds=1, iterations=1)
     table = ResultTable(
         f"Design ablation — AUPRC vs clustering k (scale={BENCH_SCALE})",
         columns=["AUPRC"], row_header="k",
@@ -80,20 +72,8 @@ def test_k_sensitivity(benchmark):
 
 
 def test_sad_term_in_selection(benchmark):
-    def run():
-        rows = {}
-        for label, eta in (("SAD (eta=1)", 1.0), ("plain AE (eta=0)", 0.0)):
-            values = []
-            for seed in BENCH_SEEDS:
-                split = load_dataset("unsw_nb15", random_state=seed, scale=BENCH_SCALE)
-                model = TargAD(TargADConfig(random_state=seed, k=4, eta=eta))
-                model.fit(split.X_unlabeled, split.X_labeled, split.y_labeled)
-                values.append(auprc(split.y_test_binary,
-                                    model.decision_function(split.X_test)))
-            rows[label] = float(np.mean(values))
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    variants = {"SAD (eta=1)": {"eta": 1.0}, "plain AE (eta=0)": {"eta": 0.0}}
+    rows = benchmark.pedantic(mean_auprc, args=(variants,), rounds=1, iterations=1)
     table = ResultTable(
         f"Design ablation — Eq. 1 SAD term in candidate selection "
         f"(scale={BENCH_SCALE})",

@@ -10,14 +10,15 @@ AUPRC after refitting with the acquired labels.
 """
 
 import numpy as np
-import pytest
 
 from _common import BENCH_SCALE
-from repro.core import TargADConfig
+from repro.core import TargAD, TargADConfig
 from repro.core.active import ActiveTargAD
 from repro.data import load_dataset
+from repro.data.schema import KIND_TARGET
 from repro.eval import ResultTable
 from repro.eval.registry import DATASET_K
+from repro.lifecycle import make_split_oracle
 from repro.metrics import auprc
 
 SEED = 0
@@ -25,26 +26,13 @@ BATCH = 20
 ROUNDS = 3
 
 
-def make_oracle(split):
-    pool_X = split.X_unlabeled
-    kind = split.unlabeled_kind
-    family = split.unlabeled_family
-    fam_to_class = {f: i + 1 for i, f in enumerate(split.target_families)}
-
-    def oracle(X_queried):
-        labels = np.zeros(len(X_queried), dtype=np.int64)
-        for i, row in enumerate(X_queried):
-            j = np.flatnonzero((pool_X == row).all(axis=1))[0]
-            if kind[j] == 1:
-                labels[i] = fam_to_class[family[j]]
-        return labels
-
-    return oracle
-
-
 def run_strategies():
     split = load_dataset("unsw_nb15", random_state=SEED, scale=BENCH_SCALE)
-    oracle = make_oracle(split)
+    target_class = {f: i + 1 for i, f in enumerate(split.target_families)}
+    oracle = make_split_oracle(split.X_unlabeled, [
+        target_class[family] if kind == KIND_TARGET else 0
+        for kind, family in zip(split.unlabeled_kind, split.unlabeled_family)
+    ])
     config = TargADConfig(random_state=SEED, k=DATASET_K["unsw_nb15"])
 
     results = {}
@@ -67,15 +55,13 @@ def run_strategies():
     y_l = np.concatenate([split.y_labeled, labels[labels > 0] - 1])
     keep = np.ones(len(split.X_unlabeled), dtype=bool)
     keep[confirmed] = False
-    from repro.core import TargAD
-
     model = TargAD(config)
     model.fit(split.X_unlabeled[keep], X_l, y_l)
     results["random"] = {
         "found": found,
         "auprc": auprc(split.y_test_binary, model.decision_function(split.X_test)),
     }
-    base_rate = float((split.unlabeled_kind == 1).mean())
+    base_rate = float((split.unlabeled_kind == KIND_TARGET).mean())
     return results, base_rate
 
 

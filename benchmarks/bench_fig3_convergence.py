@@ -7,63 +7,23 @@
     baselines' curves by the end of training.
 """
 
-import numpy as np
-import pytest
-
 from _common import BENCH_SCALE
-from repro.core import TargAD, TargADConfig
-from repro.data import load_dataset
-from repro.eval import ResultTable, make_detector
-from repro.eval.protocol import fit_on_split
-from repro.eval.registry import DATASET_K
-from repro.metrics import auprc
+from repro.eval import ResultTable
+from repro.experiments import convergence_curves
 
 BASELINES = ["DevNet", "DeepSAD", "PReNet"]
 SEED = 0
 
 
-def run_convergence():
-    from repro.obs import PhaseTimer
-
-    timer = PhaseTimer()
-    with timer.phase("load_dataset"):
-        split = load_dataset("unsw_nb15", random_state=SEED, scale=BENCH_SCALE)
-    curves = {}
-
-    targad_curve = []
-    model = TargAD(TargADConfig(random_state=SEED, k=DATASET_K["unsw_nb15"]))
-    with timer.phase("targad_fit"):
-        model.fit(
-            split.X_unlabeled, split.X_labeled, split.y_labeled,
-            epoch_callback=lambda e, m: targad_curve.append(
-                auprc(split.y_test_binary, m.decision_function(split.X_test))
-            ),
-        )
-    curves["TargAD"] = targad_curve
-    loss_curve = list(model.loss_history)
-
-    for name in BASELINES:
-        curve = []
-        det = make_detector(name, random_state=SEED, dataset="unsw_nb15")
-        with timer.phase(f"baseline_{name}"):
-            fit_on_split(
-                det, split,
-                epoch_callback=lambda e, d: curve.append(
-                    auprc(split.y_test_binary, d.decision_function(split.X_test))
-                ),
-            )
-        curves[name] = curve
-    return loss_curve, curves, timer
-
-
 def test_fig3_convergence(benchmark):
-    from _common import write_phase_timings
     from repro.viz import line_chart, sparkline
 
-    loss_curve, curves, timer = benchmark.pedantic(run_convergence, rounds=1, iterations=1)
-    timing_path = write_phase_timings("bench_fig3_convergence", timer.as_dict(),
-                                      extra={"seed": SEED})
-    print(f"\nPer-phase timing ({timer.summary()}) written to {timing_path}")
+    result = benchmark.pedantic(
+        convergence_curves, args=("unsw_nb15",),
+        kwargs=dict(baselines=BASELINES, seed=SEED, scale=BENCH_SCALE),
+        rounds=1, iterations=1,
+    )
+    loss_curve, curves = result.loss_curve, result.auprc_curves
 
     print(f"\nFig. 3(a) — TargAD training loss per epoch (scale={BENCH_SCALE}):")
     print("  " + sparkline(loss_curve))
@@ -93,5 +53,5 @@ def test_fig3_convergence(benchmark):
     # TargAD's final AUPRC tops the baselines' finals.
     assert loss_curve[-1] < loss_curve[0]
     assert tail_band <= head_band
-    final = {name: curve[-1] for name, curve in curves.items()}
+    final = result.final_auprc()
     assert final["TargAD"] >= max(v for k, v in final.items() if k != "TargAD") - 0.05

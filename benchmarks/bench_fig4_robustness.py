@@ -12,14 +12,9 @@
     stays stable; mid-range rates (5-7%) are the sweet spot.
 """
 
-import numpy as np
-import pytest
-
 from _common import BENCH_SCALE, BENCH_SEEDS, fig4_models
-from repro.eval import ResultTable, make_detector
-from repro.eval.protocol import fit_on_split
-from repro.data import load_dataset
-from repro.metrics import auprc
+from repro.eval import ResultTable
+from repro.experiments import sweep
 
 MODELS = fig4_models()
 
@@ -29,20 +24,9 @@ NONTARGETS = ["Fuzzers", "Analysis", "Exploits", "Reconnaissance"]
 ALL_FAMILIES = TARGETS + NONTARGETS
 
 
-def run_setting(split_kwargs, detector_kwargs=None):
-    """Mean AUPRC per model over the bench seeds for one configuration."""
-    out = {}
-    for name in MODELS:
-        values = []
-        for seed in BENCH_SEEDS:
-            split = load_dataset("unsw_nb15", random_state=seed, scale=BENCH_SCALE,
-                                 **split_kwargs)
-            det = make_detector(name, random_state=seed, dataset="unsw_nb15",
-                                **(detector_kwargs or {}))
-            fit_on_split(det, split)
-            values.append(auprc(split.y_test_binary, det.decision_function(split.X_test)))
-        out[name] = float(np.mean(values))
-    return out
+def run_panel(settings):
+    """Mean AUPRC per (setting, model) over the bench seeds."""
+    return sweep("unsw_nb15", MODELS, settings, seeds=BENCH_SEEDS, scale=BENCH_SCALE).auprc
 
 
 def print_panel(title, columns, rows):
@@ -60,19 +44,12 @@ def print_panel(title, columns, rows):
 def test_fig4a_new_nontarget_types(benchmark):
     """Panel (a): restrict training non-target families; test keeps all 4."""
     settings = {
-        "0 new": NONTARGETS,
-        "1 new": ["Fuzzers", "Analysis", "Reconnaissance"],
-        "2 new": ["Analysis", "Reconnaissance"],
-        "3 new": ["Reconnaissance"],
+        "0 new": {"train_nontarget_families": NONTARGETS},
+        "1 new": {"train_nontarget_families": ["Fuzzers", "Analysis", "Reconnaissance"]},
+        "2 new": {"train_nontarget_families": ["Analysis", "Reconnaissance"]},
+        "3 new": {"train_nontarget_families": ["Reconnaissance"]},
     }
-
-    def run():
-        return {
-            label: run_setting({"train_nontarget_families": fams})
-            for label, fams in settings.items()
-        }
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = benchmark.pedantic(run_panel, args=(settings,), rounds=1, iterations=1)
     print_panel(
         f"Fig. 4(a) — AUPRC vs number of NEW non-target types in testing "
         f"(scale={BENCH_SCALE}, {len(BENCH_SEEDS)} seeds)",
@@ -89,15 +66,8 @@ def test_fig4a_new_nontarget_types(benchmark):
 
 def test_fig4b_target_class_count(benchmark):
     """Panel (b): m target classes from 1 to 6."""
-    settings = {f"m={m}": ALL_FAMILIES[:m] for m in range(1, 7)}
-
-    def run():
-        return {
-            label: run_setting({"target_families": fams})
-            for label, fams in settings.items()
-        }
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    settings = {f"m={m}": {"target_families": ALL_FAMILIES[:m]} for m in range(1, 7)}
+    rows = benchmark.pedantic(run_panel, args=(settings,), rounds=1, iterations=1)
     print_panel(
         f"Fig. 4(b) — AUPRC vs number of target classes "
         f"(scale={BENCH_SCALE}, {len(BENCH_SEEDS)} seeds)",
@@ -113,15 +83,8 @@ def test_fig4b_target_class_count(benchmark):
 
 def test_fig4c_labeled_budget(benchmark):
     """Panel (c): labeled anomalies per class in {20, 60, 100}."""
-    settings = {f"{n}/class": n * len(TARGETS) for n in (20, 60, 100)}
-
-    def run():
-        return {
-            label: run_setting({"n_labeled": total})
-            for label, total in settings.items()
-        }
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    settings = {f"{n}/class": {"n_labeled": n * len(TARGETS)} for n in (20, 60, 100)}
+    rows = benchmark.pedantic(run_panel, args=(settings,), rounds=1, iterations=1)
     print_panel(
         f"Fig. 4(c) — AUPRC vs labeled anomalies per class "
         f"(scale={BENCH_SCALE}, {len(BENCH_SEEDS)} seeds; labeled counts share "
@@ -136,20 +99,16 @@ def test_fig4c_labeled_budget(benchmark):
 
 def test_fig4d_contamination(benchmark):
     """Panel (d): anomaly contamination rate of the unlabeled pool."""
-    rates = [0.03, 0.05, 0.07, 0.09]
-
-    def run():
-        return {f"{int(r*100)}%": run_setting({"contamination": r}) for r in rates}
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    settings = {f"{int(r*100)}%": {"contamination": r} for r in (0.03, 0.05, 0.07, 0.09)}
+    rows = benchmark.pedantic(run_panel, args=(settings,), rounds=1, iterations=1)
     print_panel(
         f"Fig. 4(d) — AUPRC vs contamination rate "
         f"(scale={BENCH_SCALE}, {len(BENCH_SEEDS)} seeds)",
-        [f"{int(r*100)}%" for r in rates], rows,
+        list(settings), rows,
     )
     print("Paper shape: TargAD leads at every rate; mid-range (5-7%) peaks.")
     wins = sum(
         rows[c]["TargAD"] >= max(v for k, v in rows[c].items() if k != "TargAD") - 0.05
         for c in rows
     )
-    assert wins >= len(rates) - 1
+    assert wins >= len(settings) - 1

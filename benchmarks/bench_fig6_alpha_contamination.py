@@ -7,41 +7,23 @@ degrades once α exceeds the true contamination (too many real normals get
 the OE pseudo-label).
 """
 
-import numpy as np
-import pytest
-
 from _common import BENCH_SCALE
-from repro.core import TargAD, TargADConfig
-from repro.data import load_dataset
 from repro.eval import ResultTable
-from repro.eval.registry import DATASET_K
-from repro.metrics import auprc, auroc
+from repro.experiments import alpha_contamination_matrix
 
 ALPHAS = [0.01, 0.05, 0.10, 0.15, 0.20]
 CONTAMINATIONS = [0.01, 0.05, 0.10, 0.15]
 SEED = 0
 
 
-def run_matrix():
-    auprc_matrix = np.zeros((len(ALPHAS), len(CONTAMINATIONS)))
-    auroc_matrix = np.zeros_like(auprc_matrix)
-    for j, contamination in enumerate(CONTAMINATIONS):
-        split = load_dataset("unsw_nb15", random_state=SEED, scale=BENCH_SCALE,
-                             contamination=contamination)
-        for i, alpha in enumerate(ALPHAS):
-            model = TargAD(TargADConfig(random_state=SEED, alpha=alpha,
-                                        k=DATASET_K["unsw_nb15"]))
-            model.fit(split.X_unlabeled, split.X_labeled, split.y_labeled)
-            scores = model.decision_function(split.X_test)
-            auprc_matrix[i, j] = auprc(split.y_test_binary, scores)
-            auroc_matrix[i, j] = auroc(split.y_test_binary, scores)
-    return auprc_matrix, auroc_matrix
-
-
 def test_fig6_alpha_vs_contamination(benchmark):
     from repro.viz import heatmap
 
-    auprc_matrix, auroc_matrix = benchmark.pedantic(run_matrix, rounds=1, iterations=1)
+    auprc_matrix, auroc_matrix = benchmark.pedantic(
+        alpha_contamination_matrix, args=("unsw_nb15",),
+        kwargs=dict(alphas=ALPHAS, contaminations=CONTAMINATIONS, seed=SEED, scale=BENCH_SCALE),
+        rounds=1, iterations=1,
+    )
     print("\n" + heatmap(
         auprc_matrix,
         [f"α={int(a*100)}%" for a in ALPHAS],

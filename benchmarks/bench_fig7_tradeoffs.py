@@ -9,45 +9,23 @@
 """
 
 import numpy as np
-import pytest
 
 from _common import BENCH_SCALE
-from repro.core import TargAD, TargADConfig
-from repro.data import load_dataset
 from repro.eval import ResultTable
-from repro.eval.registry import DATASET_K
-from repro.metrics import auprc, auroc
+from repro.experiments import eta_sweep, lambda_grid
 
 ETAS = [0.0, 0.01, 0.1, 1.0, 10.0, 100.0]
 LAMBDAS = [0.01, 0.1, 1.0, 2.0, 5.0, 10.0]
 SEED = 0
 
 
-def _fit_score(split, **config_kwargs):
-    model = TargAD(TargADConfig(random_state=SEED, k=DATASET_K["unsw_nb15"], **config_kwargs))
-    model.fit(split.X_unlabeled, split.X_labeled, split.y_labeled)
-    scores = model.decision_function(split.X_test)
-    return auprc(split.y_test_binary, scores), auroc(split.y_test_binary, scores)
-
-
-def run_eta_sweep():
-    split = load_dataset("unsw_nb15", random_state=SEED, scale=BENCH_SCALE)
-    return {eta: _fit_score(split, eta=eta) for eta in ETAS}
-
-
-def run_lambda_grid():
-    split = load_dataset("unsw_nb15", random_state=SEED, scale=BENCH_SCALE)
-    grid = {}
-    for lam1 in LAMBDAS:
-        for lam2 in LAMBDAS:
-            grid[(lam1, lam2)] = _fit_score(split, lambda1=lam1, lambda2=lam2)
-    return grid
-
-
 def test_fig7a_eta(benchmark):
     from repro.viz import bar_chart
 
-    results = benchmark.pedantic(run_eta_sweep, rounds=1, iterations=1)
+    results = benchmark.pedantic(
+        eta_sweep, args=("unsw_nb15",),
+        kwargs=dict(etas=ETAS, seed=SEED, scale=BENCH_SCALE), rounds=1, iterations=1,
+    )
     print("\n" + bar_chart(
         [str(eta) for eta in results],
         [p for p, _ in results.values()],
@@ -69,11 +47,12 @@ def test_fig7a_eta(benchmark):
 
 
 def test_fig7bc_lambdas(benchmark):
-    import numpy as np
-
     from repro.viz import heatmap
 
-    grid = benchmark.pedantic(run_lambda_grid, rounds=1, iterations=1)
+    grid = benchmark.pedantic(
+        lambda_grid, args=("unsw_nb15",),
+        kwargs=dict(lambdas=LAMBDAS, seed=SEED, scale=BENCH_SCALE), rounds=1, iterations=1,
+    )
     matrix = np.array([[grid[(l1, l2)][0] for l2 in LAMBDAS] for l1 in LAMBDAS])
     print("\n" + heatmap(
         matrix,

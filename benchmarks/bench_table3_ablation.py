@@ -7,21 +7,12 @@ design choices the paper argues for in prose: TargAD_origOE (the original
 flat OE pseudo-label) and TargAD_-W (no Eq. 4/5 weighting).
 """
 
-import numpy as np
-import pytest
-
 from _common import BENCH_SCALE, BENCH_SEEDS, PAPER_TABLE3_NOTE
-from repro.core import TargAD, TargADConfig
-from repro.data import load_dataset
 from repro.eval import ResultTable, format_mean_std
-from repro.eval.registry import DATASET_K
-from repro.metrics import auprc, auroc
+from repro.experiments.tables import ABLATION_VARIANTS, ablation
 
 VARIANTS = {
-    "TargAD": dict(use_oe_loss=True, use_re_loss=True),
-    "TargAD_-O": dict(use_oe_loss=False, use_re_loss=True),
-    "TargAD_-R": dict(use_oe_loss=True, use_re_loss=False),
-    "TargAD_-O-R": dict(use_oe_loss=False, use_re_loss=False),
+    **ABLATION_VARIANTS,
     # Extensions beyond the paper's Table III: the design alternatives the
     # text argues against — the original flat OE label (Section III-B2) and
     # disabling the Eq. 4/5 weight mechanism (RQ4).
@@ -30,34 +21,25 @@ VARIANTS = {
 }
 
 
-def run_ablation():
-    results = {name: {"auprc": [], "auroc": []} for name in VARIANTS}
-    for seed in BENCH_SEEDS:
-        split = load_dataset("unsw_nb15", random_state=seed, scale=BENCH_SCALE)
-        for name, flags in VARIANTS.items():
-            model = TargAD(TargADConfig(random_state=seed, k=DATASET_K["unsw_nb15"], **flags))
-            model.fit(split.X_unlabeled, split.X_labeled, split.y_labeled)
-            scores = model.decision_function(split.X_test)
-            results[name]["auprc"].append(auprc(split.y_test_binary, scores))
-            results[name]["auroc"].append(auroc(split.y_test_binary, scores))
-    return results
-
-
 def test_table3_ablation(benchmark):
-    results = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
+    results = benchmark.pedantic(
+        ablation, args=("unsw_nb15",),
+        kwargs=dict(variants=VARIANTS, seeds=BENCH_SEEDS, scale=BENCH_SCALE),
+        rounds=1, iterations=1,
+    )
     table = ResultTable(
         f"Table III — ablation on UNSW-NB15 (scale={BENCH_SCALE}, {len(BENCH_SEEDS)} seeds)",
         columns=["AUPRC", "AUROC"],
     )
-    for name, vals in results.items():
+    for name, row in results.items():
         table.add_row(name, {
-            "AUPRC": format_mean_std(float(np.mean(vals["auprc"])), float(np.std(vals["auprc"]))),
-            "AUROC": format_mean_std(float(np.mean(vals["auroc"])), float(np.std(vals["auroc"]))),
+            "AUPRC": format_mean_std(row["auprc"], row["auprc_std"]),
+            "AUROC": format_mean_std(row["auroc"], row["auroc_std"]),
         })
     table.print()
     print(PAPER_TABLE3_NOTE)
 
-    full = np.mean(results["TargAD"]["auprc"])
-    bare = np.mean(results["TargAD_-O-R"]["auprc"])
+    full = results["TargAD"]["auprc"]
+    bare = results["TargAD_-O-R"]["auprc"]
     # Shape: the full loss helps over plain cross-entropy.
     assert full >= bare - 0.02, f"full TargAD ({full:.3f}) should beat -O-R ({bare:.3f})"

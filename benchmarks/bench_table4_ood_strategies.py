@@ -8,42 +8,31 @@ class for every strategy.
 """
 
 import numpy as np
-import pytest
 
 from _common import BENCH_SCALE, BENCH_SEEDS, PAPER_TABLE4
-from repro.core import TargAD, TargADConfig
-from repro.data import load_dataset
 from repro.data.schema import KIND_NAMES
 from repro.eval import ResultTable
-from repro.eval.registry import DATASET_K
-from repro.metrics import classification_report
+from repro.experiments import triclass_report
 
 STRATEGIES = ["msp", "es", "ed"]
 ROWS = ["normal", "target", "non-target", "macro avg", "weighted avg"]
+# classification_report keys its per-class rows by kind code.
+REPORT_KEYS = {**{name: code for code, name in KIND_NAMES.items()},
+               "macro avg": "macro avg", "weighted avg": "weighted avg"}
 
 
 def run_table4():
-    # reports[strategy][row][metric] -> list over seeds
-    reports = {s: {row: {m: [] for m in ("precision", "recall", "f1")} for row in ROWS}
-               for s in STRATEGIES}
-    for seed in BENCH_SEEDS:
-        split = load_dataset("unsw_nb15", random_state=seed, scale=BENCH_SCALE)
-        model = TargAD(TargADConfig(random_state=seed, k=DATASET_K["unsw_nb15"]))
-        model.fit(split.X_unlabeled, split.X_labeled, split.y_labeled)
-        for strategy in STRATEGIES:
-            pred = model.predict_triclass(split.X_test, strategy=strategy)
-            rep = classification_report(split.test_kind, pred, labels=[0, 1, 2])
-            for code, name in KIND_NAMES.items():
-                for metric in ("precision", "recall", "f1"):
-                    reports[strategy][name][metric].append(rep[code][metric])
-            for avg in ("macro avg", "weighted avg"):
-                for metric in ("precision", "recall", "f1"):
-                    reports[strategy][avg][metric].append(rep[avg][metric])
-    return reports
+    """One tri-class report per bench seed."""
+    return [triclass_report("unsw_nb15", strategies=STRATEGIES, seed=seed, scale=BENCH_SCALE)
+            for seed in BENCH_SEEDS]
+
+
+def seed_mean(runs, strategy, row, metric):
+    return np.mean([run[strategy][REPORT_KEYS[row]][metric] for run in runs])
 
 
 def test_table4_ood_strategies(benchmark):
-    reports = benchmark.pedantic(run_table4, rounds=1, iterations=1)
+    runs = benchmark.pedantic(run_table4, rounds=1, iterations=1)
     for strategy in STRATEGIES:
         table = ResultTable(
             f"Table IV — TargAD tri-class with {strategy.upper()} "
@@ -52,17 +41,16 @@ def test_table4_ood_strategies(benchmark):
             row_header="Class",
         )
         for row in ROWS:
-            vals = reports[strategy][row]
             table.add_row(row, {
-                "Precision": f"{np.mean(vals['precision']):.3f}",
-                "Recall": f"{np.mean(vals['recall']):.3f}",
-                "F1": f"{np.mean(vals['f1']):.3f}",
+                "Precision": f"{seed_mean(runs, strategy, row, 'precision'):.3f}",
+                "Recall": f"{seed_mean(runs, strategy, row, 'recall'):.3f}",
+                "F1": f"{seed_mean(runs, strategy, row, 'f1'):.3f}",
                 "F1 (paper)": f"{PAPER_TABLE4[strategy.upper()][row]['f1']:.3f}",
             })
         table.print()
 
-    macro = {s: np.mean(reports[s]["macro avg"]["f1"]) for s in STRATEGIES}
-    weighted = {s: np.mean(reports[s]["weighted avg"]["f1"]) for s in STRATEGIES}
+    macro = {s: seed_mean(runs, s, "macro avg", "f1") for s in STRATEGIES}
+    weighted = {s: seed_mean(runs, s, "weighted avg", "f1") for s in STRATEGIES}
     print(f"Macro-F1: {macro} | Weighted-F1: {weighted} — paper: ED best on both")
     # Shape: ED at least matches the other two on macro F1 (small tolerance).
     assert macro["ed"] >= max(macro["msp"], macro["es"]) - 0.05

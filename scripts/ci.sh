@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 suite first (the gate), then the fast lane and
-# the benchmark's self-test.
+# CI entry point: tier-1 suite first (the gate), then the fast lane, the
+# paper benches' collection and the benchmark's self-test.
 #
-#   scripts/ci.sh          # tier-1 + fast lane + perfbench self-test
+#   scripts/ci.sh          # tier-1 + fast lane + paper-bench collection + perfbench self-test
 #   scripts/ci.sh fast     # fast lane only (-m "not slow")
 #   scripts/ci.sh tier1    # tier-1 gate only
 #   scripts/ci.sh chaos    # chaos lane only (-m chaos fault-injection scenarios)
@@ -10,6 +10,7 @@
 #   scripts/ci.sh lifecycle # drift-triggered refit + hot-swap suites + CLI smoke
 #   scripts/ci.sh backend  # numpy backend conformance, fused kernels, plan cache, serving parity
 #   scripts/ci.sh perfbench # benchmark self-test + 3 s runs of every workload
+#   scripts/ci.sh paper    # paper benches: collection + the record run EXPERIMENTS.md cites (~20 min)
 #
 # The tier-1 gate is the canonical `PYTHONPATH=src python -m pytest -x -q`
 # run from ROADMAP.md. The fast lane re-runs the suite without the `slow`
@@ -59,6 +60,23 @@ print("%s: correct=%s failed=%s" % (sys.argv[1], correct, failed))
 sys.exit(0 if correct is True and failed == 0 else 1)
 ' "$workload"
     done
+}
+
+run_paper_collect() {
+    # Every paper bench must import and collect, so a bench whose library
+    # call broke fails here rather than at the next record run.
+    echo '== paper benches: collect =='
+    python -m pytest benchmarks/ --collect-only -q
+}
+
+run_paper() {
+    # The record run EXPERIMENTS.md and the README quote: every Section IV
+    # table and figure at scale 0.05 with 3 seeds, one BLAS thread. Fails
+    # when a bench's shape assertion fails.
+    run_paper_collect
+    echo '== paper lane: record run, scale 0.05, 3 seeds =='
+    OPENBLAS_NUM_THREADS=1 REPRO_BENCH_SCALE=0.05 REPRO_BENCH_SEEDS=3 \
+        python -m pytest benchmarks/ --benchmark-only -s
 }
 
 run_chaos() {
@@ -115,6 +133,7 @@ case "$lane" in
     lifecycle) run_lifecycle ;;
     backend) run_backend ;;
     perfbench) run_perfbench ;;
-    all)   run_tier1; run_fast; run_perfbench_selftest ;;
-    *)     echo "usage: scripts/ci.sh [tier1|fast|chaos|taxonomy|lifecycle|backend|perfbench|all]" >&2; exit 2 ;;
+    paper) run_paper ;;
+    all)   run_tier1; run_fast; run_paper_collect; run_perfbench_selftest ;;
+    *)     echo "usage: scripts/ci.sh [tier1|fast|chaos|taxonomy|lifecycle|backend|perfbench|paper|all]" >&2; exit 2 ;;
 esac

@@ -2,7 +2,8 @@
 
 Library-level versions of the paper's evaluation protocols, so users can
 re-run any experiment on their own data/configurations without going
-through the pytest benchmark harness:
+through the pytest benchmark harness (whose paper benches call the
+first four modules):
 
 - :mod:`~repro.experiments.convergence` — per-epoch loss and test-AUPRC
   curves (Fig. 3);
@@ -10,9 +11,16 @@ through the pytest benchmark harness:
   non-target types, target-class count, labeled budget, contamination);
 - :mod:`~repro.experiments.sensitivity` — hyperparameter sweeps and the
   α × contamination matrix (Figs. 6-7);
+- :mod:`~repro.experiments.tables` — the loss ablation (Table III) and
+  the tri-class report (Table IV);
 - :mod:`~repro.experiments.taxonomy_sweep` — cross-family robustness
   over the anomaly-taxonomy injector grid (seen / unseen / cross-target
   scenarios per injector family).
+
+Every fit-and-score run goes through
+:func:`repro.eval.protocol.evaluate_detector`, except where a protocol
+needs the fitted model itself: the per-epoch curves and the tri-class
+report.
 """
 
 from repro.experiments.convergence import ConvergenceResult, convergence_curves

@@ -5,10 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.core import TargAD, TargADConfig
 from repro.data import load_dataset
 from repro.eval.protocol import fit_on_split
-from repro.eval.registry import DATASET_K, make_detector
+from repro.eval.registry import make_detector
 from repro.metrics import auprc
 
 
@@ -44,27 +43,17 @@ def convergence_curves(
     kwargs = {} if scale is None else {"scale": scale}
     split = load_dataset(dataset, random_state=seed, **kwargs)
     result = ConvergenceResult(dataset=dataset)
-
-    curve: List[float] = []
-    model = TargAD(TargADConfig(random_state=seed, k=DATASET_K.get(dataset),
-                                **(targad_kwargs or {})))
-    model.fit(
-        split.X_unlabeled, split.X_labeled, split.y_labeled,
-        epoch_callback=lambda e, m: curve.append(
-            auprc(split.y_test_binary, m.decision_function(split.X_test))
-        ),
-    )
-    result.auprc_curves["TargAD"] = curve
-    result.loss_curve = list(model.loss_history)
-
-    for name in baselines:
-        baseline_curve: List[float] = []
-        detector = make_detector(name, random_state=seed, dataset=dataset)
+    for name in ("TargAD", *baselines):
+        curve: List[float] = []
+        overrides = (targad_kwargs or {}) if name == "TargAD" else {}
+        detector = make_detector(name, random_state=seed, dataset=dataset, **overrides)
         fit_on_split(
             detector, split,
-            epoch_callback=lambda e, d: baseline_curve.append(
+            epoch_callback=lambda e, d: curve.append(
                 auprc(split.y_test_binary, d.decision_function(split.X_test))
             ),
         )
-        result.auprc_curves[name] = baseline_curve
+        result.auprc_curves[name] = curve
+        if name == "TargAD":
+            result.loss_curve = list(detector.loss_history)
     return result

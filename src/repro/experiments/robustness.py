@@ -14,12 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
-from repro.data import load_dataset
-from repro.eval.protocol import fit_on_split
-from repro.eval.registry import make_detector
-from repro.metrics import auprc, auroc
+from repro.eval.protocol import evaluate_detector
 
 
 @dataclass
@@ -75,19 +70,9 @@ def sweep(
         result.auroc[label] = {}
         result.auprc_runs[label] = {}
         for name in detectors:
-            p_values, r_values = [], []
-            for seed in seeds:
-                kwargs = dict(overrides)
-                if scale is not None:
-                    kwargs["scale"] = scale
-                split = load_dataset(dataset, random_state=seed, **kwargs)
-                detector = make_detector(name, random_state=seed, dataset=dataset,
-                                         **(detector_kwargs or {}))
-                fit_on_split(detector, split)
-                scores = detector.decision_function(split.X_test)
-                p_values.append(auprc(split.y_test_binary, scores))
-                r_values.append(auroc(split.y_test_binary, scores))
-            result.auprc[label][name] = float(np.mean(p_values))
-            result.auroc[label][name] = float(np.mean(r_values))
-            result.auprc_runs[label][name] = p_values
+            run = evaluate_detector(name, dataset, seeds=seeds, scale=scale,
+                                    split_kwargs=overrides, detector_kwargs=detector_kwargs)
+            result.auprc[label][name] = run.auprc_mean
+            result.auroc[label][name] = run.auroc_mean
+            result.auprc_runs[label][name] = run.auprc_values
     return result

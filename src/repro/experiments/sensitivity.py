@@ -6,18 +6,15 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import TargAD, TargADConfig
-from repro.data import load_dataset
-from repro.eval.registry import DATASET_K
-from repro.metrics import auprc, auroc
+from repro.eval.protocol import evaluate_detector
 
 
-def _fit_eval(split, dataset: str, seed: int, **config_kwargs) -> Tuple[float, float]:
-    config_kwargs.setdefault("k", DATASET_K.get(dataset))
-    model = TargAD(TargADConfig(random_state=seed, **config_kwargs))
-    model.fit(split.X_unlabeled, split.X_labeled, split.y_labeled)
-    scores = model.decision_function(split.X_test)
-    return auprc(split.y_test_binary, scores), auroc(split.y_test_binary, scores)
+def _targad_run(dataset: str, seed: int, scale: Optional[float],
+                split_kwargs: Optional[Dict] = None, **config) -> Tuple[float, float]:
+    """(AUPRC, AUROC) of one TargAD run with ``config`` overrides."""
+    run = evaluate_detector("TargAD", dataset, seeds=(seed,), scale=scale,
+                            split_kwargs=split_kwargs, detector_kwargs=config)
+    return run.auprc_values[0], run.auroc_values[0]
 
 
 def eta_sweep(
@@ -27,9 +24,7 @@ def eta_sweep(
     scale: Optional[float] = None,
 ) -> Dict[float, Tuple[float, float]]:
     """Fig. 7(a): TargAD (AUPRC, AUROC) per η in the autoencoder loss."""
-    kwargs = {} if scale is None else {"scale": scale}
-    split = load_dataset(dataset, random_state=seed, **kwargs)
-    return {eta: _fit_eval(split, dataset, seed, eta=eta) for eta in etas}
+    return {eta: _targad_run(dataset, seed, scale, eta=eta) for eta in etas}
 
 
 def lambda_grid(
@@ -39,14 +34,11 @@ def lambda_grid(
     scale: Optional[float] = None,
 ) -> Dict[Tuple[float, float], Tuple[float, float]]:
     """Fig. 7(b, c): (AUPRC, AUROC) for each (λ1, λ2) pair."""
-    kwargs = {} if scale is None else {"scale": scale}
-    split = load_dataset(dataset, random_state=seed, **kwargs)
-    grid = {}
-    for lam1 in lambdas:
-        for lam2 in lambdas:
-            grid[(lam1, lam2)] = _fit_eval(split, dataset, seed,
-                                           lambda1=lam1, lambda2=lam2)
-    return grid
+    return {
+        (lam1, lam2): _targad_run(dataset, seed, scale, lambda1=lam1, lambda2=lam2)
+        for lam1 in lambdas
+        for lam2 in lambdas
+    }
 
 
 def alpha_contamination_matrix(
@@ -60,12 +52,9 @@ def alpha_contamination_matrix(
     auprc_matrix = np.zeros((len(alphas), len(contaminations)))
     auroc_matrix = np.zeros_like(auprc_matrix)
     for j, contamination in enumerate(contaminations):
-        kwargs = {"contamination": contamination}
-        if scale is not None:
-            kwargs["scale"] = scale
-        split = load_dataset(dataset, random_state=seed, **kwargs)
         for i, alpha in enumerate(alphas):
-            p, r = _fit_eval(split, dataset, seed, alpha=alpha)
-            auprc_matrix[i, j] = p
-            auroc_matrix[i, j] = r
+            auprc_matrix[i, j], auroc_matrix[i, j] = _targad_run(
+                dataset, seed, scale, split_kwargs={"contamination": contamination},
+                alpha=alpha,
+            )
     return auprc_matrix, auroc_matrix

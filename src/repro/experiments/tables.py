@@ -4,12 +4,10 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-import numpy as np
-
-from repro.core import TargAD, TargADConfig
 from repro.data import load_dataset
-from repro.eval.registry import DATASET_K
-from repro.metrics import auprc, auroc, classification_report
+from repro.eval.protocol import evaluate_detector, fit_on_split
+from repro.eval.registry import make_detector
+from repro.metrics import classification_report
 
 ABLATION_VARIANTS: Dict[str, Dict] = {
     "TargAD": dict(use_oe_loss=True, use_re_loss=True),
@@ -25,30 +23,24 @@ def ablation(
     seeds: Sequence[int] = (0, 1, 2),
     scale: Optional[float] = None,
 ) -> Dict[str, Dict[str, float]]:
-    """Table III protocol: AUPRC/AUROC per loss-ablation variant.
+    """Table III protocol: AUPRC/AUROC per TargAD variant.
 
-    Returns ``{variant: {"auprc": mean, "auprc_std": std, "auroc": ...}}``.
+    Each variant maps to ``TargADConfig`` overrides; a ``k`` among them
+    replaces the dataset's default. Returns
+    ``{variant: {"auprc": mean, "auprc_std": std, "auroc": ...}}``.
     """
     variants = variants if variants is not None else ABLATION_VARIANTS
-    raw: Dict[str, Dict[str, list]] = {v: {"auprc": [], "auroc": []} for v in variants}
-    for seed in seeds:
-        kwargs = {} if scale is None else {"scale": scale}
-        split = load_dataset(dataset, random_state=seed, **kwargs)
-        for name, flags in variants.items():
-            model = TargAD(TargADConfig(random_state=seed, k=DATASET_K.get(dataset), **flags))
-            model.fit(split.X_unlabeled, split.X_labeled, split.y_labeled)
-            scores = model.decision_function(split.X_test)
-            raw[name]["auprc"].append(auprc(split.y_test_binary, scores))
-            raw[name]["auroc"].append(auroc(split.y_test_binary, scores))
-    return {
-        name: {
-            "auprc": float(np.mean(vals["auprc"])),
-            "auprc_std": float(np.std(vals["auprc"])),
-            "auroc": float(np.mean(vals["auroc"])),
-            "auroc_std": float(np.std(vals["auroc"])),
+    out = {}
+    for name, overrides in variants.items():
+        run = evaluate_detector("TargAD", dataset, seeds=seeds, scale=scale,
+                                detector_kwargs=overrides)
+        out[name] = {
+            "auprc": run.auprc_mean,
+            "auprc_std": run.auprc_std,
+            "auroc": run.auroc_mean,
+            "auroc_std": run.auroc_std,
         }
-        for name, vals in raw.items()
-    }
+    return out
 
 
 def triclass_report(
@@ -60,10 +52,12 @@ def triclass_report(
     """Table IV protocol: per-strategy tri-class classification report."""
     kwargs = {} if scale is None else {"scale": scale}
     split = load_dataset(dataset, random_state=seed, **kwargs)
-    model = TargAD(TargADConfig(random_state=seed, k=DATASET_K.get(dataset)))
-    model.fit(split.X_unlabeled, split.X_labeled, split.y_labeled)
-    reports = {}
-    for strategy in strategies:
-        pred = model.predict_triclass(split.X_test, strategy=strategy)
-        reports[strategy] = classification_report(split.test_kind, pred, labels=[0, 1, 2])
-    return reports
+    model = make_detector("TargAD", random_state=seed, dataset=dataset)
+    fit_on_split(model, split)
+    return {
+        strategy: classification_report(
+            split.test_kind, model.predict_triclass(split.X_test, strategy=strategy),
+            labels=[0, 1, 2],
+        )
+        for strategy in strategies
+    }

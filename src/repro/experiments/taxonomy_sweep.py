@@ -28,14 +28,11 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
-from repro.data import load_dataset, taxonomy_family_name
+from repro.data import taxonomy_family_name
 from repro.data.registry import get_generator
 from repro.data.taxonomy import INJECTOR_NAMES
-from repro.eval.protocol import fit_on_split
-from repro.eval.registry import DETECTOR_NAMES, make_detector
-from repro.metrics import auprc, auroc
+from repro.eval.protocol import evaluate_detector
+from repro.eval.registry import DETECTOR_NAMES
 from repro.obs import ensure_telemetry
 
 #: The two predefined grids: ``smoke`` for CI lanes and quick sanity
@@ -218,28 +215,15 @@ def taxonomy_sweep(
         result.auprc[scenario.label] = {}
         result.auroc[scenario.label] = {}
         result.auprc_runs[scenario.label] = {}
-        splits = {}
-        for seed in seeds:
-            kwargs = dict(scenario.overrides)
-            if scale is not None:
-                kwargs["scale"] = scale
-            with telemetry.timer("taxonomy.load_split"):
-                splits[seed] = load_dataset(dataset, random_state=seed, **kwargs)
         for name in detectors:
-            p_values, r_values = [], []
             with telemetry.timer("taxonomy.cell"):
-                for seed in seeds:
-                    split = splits[seed]
-                    detector = make_detector(name, random_state=seed, dataset=dataset,
-                                             **(detector_kwargs or {}))
-                    fit_on_split(detector, split)
-                    telemetry.increment("taxonomy.fits")
-                    scores = detector.decision_function(split.X_test)
-                    p_values.append(auprc(split.y_test_binary, scores))
-                    r_values.append(auroc(split.y_test_binary, scores))
-            result.auprc[scenario.label][name] = float(np.mean(p_values))
-            result.auroc[scenario.label][name] = float(np.mean(r_values))
-            result.auprc_runs[scenario.label][name] = [float(v) for v in p_values]
+                run = evaluate_detector(name, dataset, seeds=seeds, scale=scale,
+                                        split_kwargs=scenario.overrides,
+                                        detector_kwargs=detector_kwargs)
+            telemetry.increment("taxonomy.fits", len(run.auprc_values))
+            result.auprc[scenario.label][name] = run.auprc_mean
+            result.auroc[scenario.label][name] = run.auroc_mean
+            result.auprc_runs[scenario.label][name] = [float(v) for v in run.auprc_values]
             telemetry.increment("taxonomy.cells")
             telemetry.record_event(
                 "taxonomy.cell",

@@ -145,7 +145,14 @@ def drift_replay(
     y_eval = np.asarray(y_eval, dtype=np.int64).ravel()
     stale_model = manager.pipeline.model
 
-    def serve(X_batch: np.ndarray, phase: str) -> None:
+    def serve(X_batch: np.ndarray, phase: str):
+        """Serve one batch; return the model that scored it.
+
+        A batch that confirms drift can run an inline cycle that swaps
+        the model before ``process`` returns, so the model that served
+        is read before the call.
+        """
+        served_model = manager.pipeline.model
         gen_before = manager.pipeline.generation
         batch = manager.process(X_batch)
         manager.wait()  # join a background refit before reading the model
@@ -163,6 +170,7 @@ def drift_replay(
         if gen != gen_before:
             say(f"  hot-swap: generation {gen_before} -> {gen} "
                 f"(live AUPRC {live_auprc:.3f})")
+        return served_model
 
     n_batches = 0
     for start in range(0, len(X_warm), batch_rows):
@@ -176,14 +184,16 @@ def drift_replay(
 
     drift_batches = 0
     for start in range(0, len(X_drift), batch_rows):
-        serve(X_drift[start:start + batch_rows], "drift")
+        served_model = serve(X_drift[start:start + batch_rows], "drift")
         drift_batches += 1
         if result.batches_to_detection is None:
             confirmed = [e for e in manager.history
                          if e.kind == "drift_confirmed"]
             if confirmed:
                 result.batches_to_detection = drift_batches
-                result.auprc_at_detection = result.batches[-1]["auprc"]
+                result.auprc_at_detection = float(auprc(
+                    y_eval, served_model.decision_function(X_eval)
+                ))
                 say(f"drift confirmed after {drift_batches} drifted batch(es)")
 
     swap_events = [e for e in manager.history if e.kind == "swap"]
@@ -193,8 +203,6 @@ def drift_replay(
         result.detection_to_swap_seconds = swap_events[0].details.get(
             "detection_to_swap_seconds"
         )
-    if result.batches_to_detection is not None and not result.auprc_at_detection:
-        result.auprc_at_detection = result.auprc_before_drift
     result.auprc_final = result.batches[-1]["auprc"] if result.batches else 0.0
     result.auprc_stale_final = float(auprc(y_eval, stale_model.decision_function(X_eval)))
     return result

@@ -27,14 +27,13 @@ from repro.obs.registry import (
     ensure_telemetry,
 )
 from repro.obs.stats import TimerStats
-from repro.obs.timing import PhaseTimer, record_timing, timed
+from repro.obs.timing import record_timing, timed
 
 __all__ = [
     "Event",
     "EventLog",
     "NULL_TELEMETRY",
     "NullTelemetry",
-    "PhaseTimer",
     "TelemetryRegistry",
     "TimerStats",
     "dump_json",

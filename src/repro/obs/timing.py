@@ -1,19 +1,16 @@
-"""Timing helpers: context manager, method decorator, and phase timer.
+"""Timing helpers: context manager and method decorator.
 
-Three entry points, all recording into a :class:`TelemetryRegistry`:
+Two entry points, both recording into a :class:`TelemetryRegistry`:
 
 - ``record_timing(telemetry, "name")`` — explicit context manager;
 - ``@timed("name")`` — decorator for methods of objects that carry a
-  ``telemetry`` attribute (TargAD, ScoringPipeline, CandidateSelector);
-- :class:`PhaseTimer` — ordered named phases for coarse-grained reports
-  (benchmark time axes, CLI profiling).
+  ``telemetry`` attribute (TargAD, ScoringPipeline, CandidateSelector).
 """
 
 from __future__ import annotations
 
 import functools
-import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable
 
 from repro.obs.registry import NULL_TELEMETRY, ensure_telemetry
 
@@ -41,62 +38,3 @@ def timed(name: str, attr: str = "telemetry") -> Callable:
         return wrapper
 
     return decorator
-
-
-class PhaseTimer:
-    """Collect named, ordered wall-clock phases.
-
-    Usage::
-
-        timer = PhaseTimer()
-        with timer.phase("load_dataset"):
-            ...
-        with timer.phase("fit"):
-            ...
-        timer.as_dict()   # {"load_dataset": 1.2, "fit": 30.5}
-
-    Re-entering a phase name accumulates into the same bucket. When a
-    registry is attached, each phase also lands as a ``phase.<name>`` timer
-    sample there.
-    """
-
-    def __init__(self, telemetry=None):
-        self.telemetry = ensure_telemetry(telemetry)
-        self._phases: List[Tuple[str, float]] = []
-        self._totals: Dict[str, float] = {}
-
-    class _Phase:
-        __slots__ = ("_timer", "_name", "_start")
-
-        def __init__(self, timer: "PhaseTimer", name: str):
-            self._timer = timer
-            self._name = name
-            self._start = 0.0
-
-        def __enter__(self) -> "PhaseTimer._Phase":
-            self._start = time.perf_counter()
-            return self
-
-        def __exit__(self, *exc_info: Any) -> None:
-            elapsed = time.perf_counter() - self._start
-            self._timer._record(self._name, elapsed)
-
-    def phase(self, name: str) -> "PhaseTimer._Phase":
-        return PhaseTimer._Phase(self, name)
-
-    def _record(self, name: str, seconds: float) -> None:
-        self._phases.append((name, seconds))
-        self._totals[name] = self._totals.get(name, 0.0) + seconds
-        self.telemetry.observe(f"phase.{name}", seconds)
-
-    def as_dict(self) -> Dict[str, float]:
-        """Accumulated seconds per phase, in first-seen order."""
-        return dict(self._totals)
-
-    @property
-    def total(self) -> float:
-        return sum(self._totals.values())
-
-    def summary(self) -> str:
-        parts = [f"{name}={seconds:.3f}s" for name, seconds in self._totals.items()]
-        return " ".join(parts) if parts else "(no phases)"

@@ -67,7 +67,7 @@ class TestConvergence:
     def test_final_auprc(self):
         result = convergence_curves(
             "kddcup99", baselines=[], scale=0.015,
-            targad_kwargs=dict(ae_epochs=3, clf_epochs=4),
+            targad_kwargs=dict(ae_epochs=3, clf_epochs=4, k=2),  # k overrides the dataset's
         )
         final = result.final_auprc()
         assert set(final) == {"TargAD"}

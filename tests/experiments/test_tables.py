@@ -18,6 +18,10 @@ class TestAblation:
             assert 0.0 <= row["auprc"] <= 1.0
             assert row["auprc_std"] >= 0.0
 
+    def test_variant_may_set_k(self):
+        out = ablation("kddcup99", variants={"k=2": {"k": 2}}, seeds=(0,), scale=0.015)
+        assert 0.0 <= out["k=2"]["auprc"] <= 1.0
+
     def test_default_variants_match_paper(self):
         assert set(ABLATION_VARIANTS) == {"TargAD", "TargAD_-O", "TargAD_-R", "TargAD_-O-R"}
 

@@ -10,6 +10,7 @@ from repro.core import TargAD
 from repro.data.schema import KIND_TARGET
 from repro.lifecycle import DriftReplayResult, drift_replay, make_split_oracle, shift_regime
 from repro.lifecycle.replay import RECOVERY_MARGIN
+from repro.metrics import auprc
 from tests.lifecycle.test_manager import make_manager
 
 
@@ -52,6 +53,25 @@ class TestCounterfactual:
         assert result.swaps > 0
         assert result.auprc_final == result.auprc_stale_final
         assert result.recovered is False
+
+
+class TestDetection:
+    def test_inline_swap_on_the_confirming_batch_reports_the_model_that_served_it(
+        self, split, model
+    ):
+        X_shifted = shift_regime(split.X_test, shift=6.0, seed=0)
+        half = len(X_shifted) // 2
+        y = np.where(split.test_kind == KIND_TARGET, 1, 0)
+        manager = make_manager(split, model,
+                               oracle=make_split_oracle(X_shifted[:half], y[:half]))
+        result = drift_replay(manager, split.X_val, X_shifted[:half],
+                              X_shifted[half:], y[half:], batch_rows=60)
+        drift = [b for b in result.batches if b["phase"] == "drift"]
+        confirming = drift[result.batches_to_detection - 1]
+        assert confirming["generation"] == 1  # the confirming batch's cycle swapped
+        served = auprc(y[half:], model.decision_function(X_shifted[half:]))
+        assert result.auprc_at_detection == served
+        assert result.auprc_at_detection != confirming["auprc"]
 
 
 @pytest.mark.slow

@@ -1,8 +1,8 @@
-"""Timing helpers: record_timing, the @timed decorator, PhaseTimer."""
+"""Timing helpers: record_timing and the @timed decorator."""
 
 import pytest
 
-from repro.obs import NULL_TELEMETRY, PhaseTimer, TelemetryRegistry, record_timing, timed
+from repro.obs import NULL_TELEMETRY, TelemetryRegistry, record_timing, timed
 
 
 class TestRecordTiming:
@@ -54,40 +54,3 @@ class TestTimedDecorator:
     def test_null_telemetry_passthrough(self):
         obj = self.Instrumented(NULL_TELEMETRY)
         assert obj.work(1) == 2
-
-
-class TestPhaseTimer:
-    def test_phases_accumulate_in_order(self):
-        timer = PhaseTimer()
-        with timer.phase("a"):
-            pass
-        with timer.phase("b"):
-            pass
-        with timer.phase("a"):
-            pass
-        phases = timer.as_dict()
-        assert list(phases) == ["a", "b"]
-        assert timer.total == pytest.approx(sum(phases.values()))
-
-    def test_reentrant_phase_accumulates(self):
-        timer = PhaseTimer()
-        with timer.phase("p"):
-            sum(range(1000))
-        first = timer.as_dict()["p"]
-        with timer.phase("p"):
-            sum(range(1000))
-        assert timer.as_dict()["p"] > first
-
-    def test_registry_mirror(self):
-        reg = TelemetryRegistry()
-        timer = PhaseTimer(reg)
-        with timer.phase("fit"):
-            pass
-        assert reg.timer_stats("phase.fit").count == 1
-
-    def test_summary_empty_and_filled(self):
-        timer = PhaseTimer()
-        assert timer.summary() == "(no phases)"
-        with timer.phase("x"):
-            pass
-        assert "x=" in timer.summary()

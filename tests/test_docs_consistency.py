@@ -7,6 +7,7 @@ rename or removal fails CI instead of silently rotting the docs.
 
 import argparse
 import ast
+import fnmatch
 import os
 import re
 import subprocess
@@ -19,6 +20,40 @@ REPO = Path(__file__).resolve().parent.parent
 
 #: Documents whose file references must resolve.
 DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/api.md")
+
+
+#: A file name with an extension the docs cite: a bare name, a
+#: repo-relative path or a glob such as ``bench_*.py``.
+FILE_NAME = re.compile(r"[\w.*-][\w./*-]*\.(?:py|json|jsonl|txt|md|sh|toml|npz|csv)")
+
+
+def cited_files(text):
+    """Files a document cites in backticks.
+
+    A backticked span that is exactly a file name cites that file. Inside
+    a backticked command, only relative paths with a directory part count:
+    a bare ``model.npz`` there is an argument the reader creates.
+    """
+    cited = set()
+    for span in re.findall(r"`([^`\n]+)`", text):
+        if FILE_NAME.fullmatch(span):
+            cited.add(span)
+        else:
+            cited.update(token for token in span.split()
+                         if "/" in token and not token.startswith("/")
+                         and FILE_NAME.fullmatch(token))
+    return cited
+
+
+def repo_files():
+    """Repo-relative paths of the files on disk, outside hidden and cache dirs."""
+    return [
+        path.relative_to(REPO).as_posix() for path in REPO.rglob("*")
+        if path.is_file() and not any(
+            part.startswith(".") or part == "__pycache__"
+            for part in path.relative_to(REPO).parts
+        )
+    ]
 
 
 def design_module_paths(text):
@@ -147,6 +182,22 @@ class TestFileReferences:
             assert (REPO / path).exists(), f"{doc} names missing {path}"
         for name in set(re.findall(r"BENCH_\w+\.json", text)):
             assert (REPO / name).exists(), f"{doc} names missing {name}"
+
+    @pytest.mark.parametrize("doc", DOCS)
+    def test_every_cited_file_exists(self, doc):
+        files = repo_files()
+        cited = cited_files((REPO / doc).read_text())
+        missing = sorted(
+            name for name in cited
+            if not any(fnmatch.fnmatch(f, name) or fnmatch.fnmatch(f, "*/" + name)
+                       for f in files)
+        )
+        assert not missing, f"{doc} cites files the repo does not contain: {missing}"
+
+    def test_citation_reader(self):
+        text = ("`bench_*.py` `bench_output.txt` `python3 perfbench/run.py --seed 1` "
+                "`repro train --output model.npz` `--json /tmp/x.json` `repro/{a,b}.py`")
+        assert cited_files(text) == {"bench_*.py", "bench_output.txt", "perfbench/run.py"}
 
 
 class TestDependencies:
