@@ -96,16 +96,25 @@ run_lifecycle() {
     # The continual-learning lane: drift-triggered refit + zero-downtime
     # hot-swap. Covers the LifecycleManager loop, the hot-swap integration
     # suite (bitwise post-swap parity, concurrent-traffic atomicity,
-    # rollback at stage and flip), drift-monitor robustness regressions,
-    # checkpoint housekeeping, and the swap-phase chaos scenarios. Ends
-    # with a CLI drift-replay smoke on a tiny split.
+    # rollback at stage and flip), the drift monitor (robustness
+    # regressions, the min_rows window size, the window of small batches)
+    # and the pipeline that feeds it, checkpoint housekeeping, and the
+    # swap-phase chaos scenarios. Ends with a CLI drift-replay smoke on a
+    # tiny split, which fails unless the replay confirmed drift.
     echo '== lifecycle lane: drift-triggered refit + hot-swap =='
     python -m pytest -x -q tests/lifecycle \
         tests/serving/test_hotswap.py tests/serving/test_drift.py \
+        tests/serving/test_pipeline.py \
         tests/resilience/test_checkpoint.py tests/resilience/test_faultinject.py
     python -m pytest -x -q -m chaos tests/serving/test_chaos.py -k Swap
     python -m repro.cli lifecycle --dataset kddcup99 --scale 0.02 \
         --refit-epochs 2 --json /tmp/lifecycle_smoke.json
+    python3 -c '
+import json, sys
+replay = json.load(open(sys.argv[1]))["replay"]
+print("lifecycle smoke: batches_to_detection=%s" % replay["batches_to_detection"])
+sys.exit(0 if replay["batches_to_detection"] is not None else 1)
+' /tmp/lifecycle_smoke.json
 }
 
 run_backend() {

@@ -4,10 +4,12 @@ The serving stack detects covariate drift (:mod:`repro.serving.drift`)
 but, on its own, a drifted deployment degrades forever. The
 :class:`LifecycleManager` closes the loop:
 
-1. **Detect** — every served batch's drift report feeds a debouncer
-   (:class:`DriftPolicy.confirm_checks` consecutive drifted batches
-   confirm an event; a cooldown after each swap or rollback stops the
-   loop from thrashing while the new generation warms up).
+1. **Detect** — every drift report the pipeline hands back feeds a
+   debouncer (:class:`DriftPolicy.confirm_checks` consecutive drift
+   reports that flag drift confirm an event; a served batch without a
+   report, one that only joined the monitor's window of small batches,
+   leaves the streak as it is; a cooldown after each swap or rollback
+   stops the loop from thrashing while the new generation warms up).
 2. **Assemble + label** — a refit sample is built from the recent served
    rows (the drifted traffic) plus a seeded reservoir of the original
    training pool (so the refit never forgets the old regime), and a
@@ -60,8 +62,10 @@ class DriftPolicy:
     Attributes
     ----------
     confirm_checks:
-        Consecutive drifted batches required to confirm a drift event —
-        the debounce against one-off batch noise.
+        Consecutive drift reports that flag drift required to confirm a
+        drift event — the debounce against one-off batch noise. A batch
+        without a report (it only joined the drift monitor's window of
+        small batches) neither extends nor resets the streak.
     cooldown_batches:
         Batches after a swap *or* rollback during which drift
         observations are ignored (the fresh monitor needs traffic, and a
@@ -240,13 +244,14 @@ class LifecycleManager:
         if len(scored):
             X = np.asarray(X_batch, dtype=np.float64)
             if X.ndim == 2 and X.shape[1] == self.pipeline._n_features:
-                self._remember(X[scored])
+                self._remember(X, scored)
         if self._cooldown > 0:
             self._cooldown -= 1
             self._streak = 0
             return
-        drifted = batch.drift is not None and batch.drift.drifted
-        if not drifted:
+        if batch.drift is None:
+            return  # no report (e.g. the batch only joined the drift window)
+        if not batch.drift.drifted:
             self._streak = 0
             return
         self._streak += 1
@@ -271,13 +276,19 @@ class LifecycleManager:
         else:
             self._run_cycle_locked()
 
-    def _remember(self, X_scored: np.ndarray) -> None:
-        if self._recent is None:
-            self._recent = X_scored.copy()
+    def _remember(self, X: np.ndarray, scored: np.ndarray) -> None:
+        """Keep the last ``recent_rows`` scored rows served.
+
+        Only the rows still kept are gathered and joined, into an array
+        that owns its memory, so no served batch stays pinned.
+        """
+        keep = self.policy.recent_rows
+        latest = X[scored[-keep:]]
+        needed = keep - len(latest)
+        if self._recent is None or needed == 0:
+            self._recent = latest
         else:
-            self._recent = np.vstack([self._recent, X_scored])
-        if len(self._recent) > self.policy.recent_rows:
-            self._recent = self._recent[-self.policy.recent_rows:]
+            self._recent = np.concatenate([self._recent[-needed:], latest])
 
     def wait(self, timeout: Optional[float] = None) -> None:
         """Join an in-flight background refit cycle (no-op when idle)."""

@@ -139,6 +139,10 @@ def drift_replay(
     — the AUPRC curve on it shows the degradation the drift causes and
     the recovery the swap buys. The manager's own validation slice
     (used for the swap gate) must be disjoint from this one.
+
+    Each per-batch record says whether the batch got a drift report
+    (``checked``); a batch that only joined the drift monitor's window
+    records ``max_ks`` as ``None`` and ``drifted`` as ``False``.
     """
     say = progress if progress is not None else (lambda msg: None)
     result = DriftReplayResult()
@@ -160,10 +164,12 @@ def drift_replay(
         live_auprc = float(auprc(
             y_eval, manager.pipeline.model.decision_function(X_eval)
         ))
+        checked = batch.drift is not None
         result.batches.append({
             "phase": phase,
-            "drifted": bool(batch.drift is not None and batch.drift.drifted),
-            "max_ks": float(batch.drift.max_statistic) if batch.drift else 0.0,
+            "checked": checked,
+            "drifted": bool(checked and batch.drift.drifted),
+            "max_ks": float(batch.drift.max_statistic) if checked else None,
             "generation": int(gen),
             "auprc": live_auprc,
         })

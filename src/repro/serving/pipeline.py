@@ -72,6 +72,15 @@ class AlertBatch:
     :data:`ROUTE_QUARANTINED` marking rows that were never scored; their
     ``scores`` entry is NaN. All index arrays refer to positions in the
     *original* incoming batch.
+
+    ``drift`` is the :meth:`~repro.serving.drift.DriftMonitor.observe`
+    report: that of the batch itself when it has at least the monitor's
+    ``min_rows`` scored rows, that of the window of small batches when
+    this batch completed one, and ``None`` when the batch only joined the
+    window (or drift monitoring is off, or every row was quarantined).
+    :class:`~repro.lifecycle.DriftPolicy` confirms drift on consecutive
+    drift reports, so a batch without one neither extends nor breaks a
+    streak.
     """
 
     scores: np.ndarray
@@ -125,6 +134,7 @@ class ScoringPipeline:
         reference subsample is drawn with the model's
         ``config.random_state``, so a swapped-in generation checks drift
         exactly as a pipeline freshly calibrated with that model would.
+        Each generation starts with an empty window of small batches.
     circuit_breaker:
         Breaker guarding the primary scorer; defaults to a
         :class:`~repro.resilience.breaker.CircuitBreaker` wired to this
@@ -225,6 +235,9 @@ class ScoringPipeline:
                 policy=self.policy,
                 threshold=float(self.threshold_),
                 n_val=int(len(scores)),
+                drift_min_rows=(
+                    self._monitor.min_rows if self._monitor is not None else None
+                ),
             )
         return self
 
@@ -423,7 +436,7 @@ class ScoringPipeline:
 
         drift = None
         if self._monitor is not None and len(sanitized.kept):
-            drift = self._monitor.check(sanitized.X)
+            drift = self._monitor.observe(sanitized.X)
         result = AlertBatch(
             scores=scores,
             alerts=alerts,

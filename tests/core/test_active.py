@@ -5,6 +5,8 @@ import pytest
 
 from repro.core import TargADConfig
 from repro.core.active import ActiveTargAD
+from repro.data.schema import KIND_TARGET
+from repro.lifecycle import make_split_oracle
 
 FAST = TargADConfig(k=2, ae_lr=3e-3, ae_epochs=5, clf_epochs=5, random_state=0)
 
@@ -19,26 +21,12 @@ def pool():
 
 
 def make_oracle(split):
-    """Ground-truth oracle over the unlabeled pool (by row identity).
-
-    Works on feature rows: looks up each queried row in the unlabeled pool
-    to recover its hidden kind/family.
-    """
-    pool_X = split.X_unlabeled
-    kind = split.unlabeled_kind
-    family = split.unlabeled_family
-    fam_to_class = {f: i + 1 for i, f in enumerate(split.target_families)}
-
-    def oracle(X_queried):
-        labels = np.zeros(len(X_queried), dtype=np.int64)
-        for i, row in enumerate(X_queried):
-            matches = np.flatnonzero((pool_X == row).all(axis=1))
-            j = matches[0]
-            if kind[j] == 1:
-                labels[i] = fam_to_class[family[j]]
-        return labels
-
-    return oracle
+    """Ground-truth oracle over the unlabeled pool, keyed by row bytes."""
+    target_class = {f: i + 1 for i, f in enumerate(split.target_families)}
+    return make_split_oracle(split.X_unlabeled, [
+        target_class[family] if kind == KIND_TARGET else 0
+        for kind, family in zip(split.unlabeled_kind, split.unlabeled_family)
+    ])
 
 
 class TestActiveTargAD:

@@ -73,6 +73,66 @@ class TestDebounce:
         assert manager.pipeline.circuit_breaker.state == "closed"
 
 
+class TestDriftWindow:
+    """Small requests reach the debounce only through their window's report."""
+
+    def test_shifted_small_requests_confirm_within_the_window_bound(self, split, model):
+        manager = make_manager(split, model)
+        min_rows = manager.pipeline._monitor.min_rows
+        per_window = -(-min_rows // 8)
+        bound = manager.policy.confirm_checks * per_window
+        reports, confirmed_at = [], None
+        for i in range(bound):
+            reports.append(manager.process(split.X_test[8 * i:8 * (i + 1)] + 6.0).drift)
+            if manager.history:
+                confirmed_at = i + 1
+                break
+        assert manager.history[0].kind == "drift_confirmed"
+        assert confirmed_at <= bound
+        assert all(r is None for r in reports[:per_window - 1])
+
+    def test_batch_without_a_report_leaves_the_streak(self, split, model):
+        manager = make_manager(split, model)
+        manager.process(split.X_test[:60] + 6.0)
+        assert manager._streak == 1
+        assert manager.process(split.X_test[60:68]).drift is None
+        assert manager._streak == 1 and manager.history == []
+        manager.process(split.X_test[68:128] + 6.0)
+        assert [e.kind for e in manager.history] == ["drift_confirmed", "swap"]
+
+    def test_cooldown_counts_batches_without_reports(self, split, model):
+        manager = make_manager(split, model)
+        for i in range(2):
+            manager.process(split.X_test[i * 60:(i + 1) * 60] + 6.0)
+        assert manager._cooldown == manager.policy.cooldown_batches == 4
+        for i in range(4):
+            assert manager.process(split.X_test[120 + 8 * i:128 + 8 * i]).drift is None
+        assert manager._cooldown == 0
+
+
+class TestRecentRows:
+    def test_recent_rows_match_stacking_every_batch_and_own_their_memory(self, split, model):
+        keep = 50
+        manager = make_manager(split, model, policy=DriftPolicy(
+            confirm_checks=100, cooldown_batches=0, recent_rows=keep,
+            refit_epochs=2, min_auprc_ratio=0.3,
+        ))
+        stacked = None
+        start = 0
+        # Scored rows per batch: below, equal to and above recent_rows.
+        for size, n_quarantined in ((30, 0), (50, 0), (84, 4), (20, 0), (55, 5)):
+            X = split.X_test[start:start + size].copy()
+            start += size
+            X[:n_quarantined, 1] = np.nan
+            batch = manager.process(X)
+            assert len(batch.scored) == size - n_quarantined
+            scored = X[batch.scored]
+            stacked = scored if stacked is None else np.vstack([stacked, scored])[-keep:]
+            assert manager._recent.tobytes() == stacked.tobytes()
+            assert manager._recent.shape == stacked.shape
+            assert manager._recent.flags.owndata
+
+
 class TestLabelQuery:
     def test_oracle_labels_grow_the_labeled_pool(self, split, model):
         calls = []

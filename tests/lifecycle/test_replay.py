@@ -74,6 +74,22 @@ class TestDetection:
         assert result.auprc_at_detection != confirming["auprc"]
 
 
+class TestBatchRecords:
+    def test_records_say_which_batches_got_a_drift_report(self, split, model):
+        X_shifted = shift_regime(split.X_test, shift=6.0, seed=0)
+        half = len(X_shifted) // 2
+        y = np.where(split.test_kind == KIND_TARGET, 1, 0)
+        manager = make_manager(split, model)
+        result = drift_replay(manager, split.X_val, X_shifted[:half],
+                              X_shifted[half:], y[half:], batch_rows=8)
+        checked = [b for b in result.batches if b["checked"]]
+        waiting = [b for b in result.batches if not b["checked"]]
+        assert checked and waiting
+        assert all(b["max_ks"] is None and b["drifted"] is False for b in waiting)
+        assert all(isinstance(b["max_ks"], float) for b in checked)
+        assert result.batches_to_detection is not None
+
+
 @pytest.mark.slow
 def test_ci_smoke_configuration_reports_no_recovery(tmp_path):
     """The lifecycle lane's CLI smoke gains less than the margin over the stale model."""

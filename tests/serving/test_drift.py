@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.serving import DriftMonitor
-from repro.serving.drift import _CONST_ATOL, _CONST_RTOL, _ks_from_sorted, ks_statistic
+from repro.serving.drift import (
+    _CONST_ATOL,
+    _CONST_RTOL,
+    FALSE_ALARM_RATE,
+    _ks_from_sorted,
+    _min_rows,
+    ks_statistic,
+)
 
 
 class TestKSStatistic:
@@ -63,6 +70,11 @@ class TestDriftMonitor:
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
             DriftMonitor(threshold=0.0)
+
+    @pytest.mark.parametrize("max_reference", [0, -5])
+    def test_max_reference_below_one_rejected(self, max_reference):
+        with pytest.raises(ValueError, match="max_reference"):
+            DriftMonitor(max_reference=max_reference)
 
 
 class TestRobustness:
@@ -134,6 +146,7 @@ class TestRobustness:
         assert d["drifted"] is True
         assert d["drifted_features"] == [0]
         assert d["max_ks"] > 0.15 and d["threshold"] == pytest.approx(0.15)
+        assert d["n_rows"] == 200
 
 
 # -- the batched kernel against the pooled-grid reference ---------------------
@@ -235,3 +248,129 @@ class TestBatchedKernel:
         want = _ks_from_sorted(np.sort(a), np.sort(b))
         assert np.float64(ks_statistic(a, b)).tobytes() == np.float64(want).tobytes()
         assert np.float64(ks_statistic(b, a)).tobytes() == np.float64(want).tobytes()
+
+
+# -- the window of small batches ------------------------------------------------
+def _null_tail(threshold, n, m, d):
+    """Bonferroni-corrected asymptotic KS tail of ``threshold`` at n batch rows."""
+    from scipy.stats import kstwobign
+
+    return d * kstwobign.sf(threshold * np.sqrt(n * m / (n + m)))
+
+
+class TestMinRows:
+    def test_threshold_clears_the_ks_null_first_at_min_rows(self):
+        sized = capped = 0
+        for threshold in (0.05, 0.1, 0.2, 0.3, 0.5, 1.0):
+            for m in (1, 10, 50, 200, 2000, 5000):
+                for d in (1, 15, 182, 1000):
+                    n = _min_rows(threshold, m, d)
+                    assert 1 <= n <= m
+                    if _null_tail(threshold, n, m, d) <= FALSE_ALARM_RATE:
+                        sized += 1
+                        assert _null_tail(threshold, n - 1, m, d) > FALSE_ALARM_RATE
+                    else:
+                        # Not even the whole reference size clears the null.
+                        capped += 1
+                        assert n == m
+        assert sized and capped
+
+    def test_deployment_sizes(self, rng):
+        # The SQB deployment: threshold 0.2, 2,000 reference rows, 182 features.
+        assert _min_rows(0.2, 2000, 182) == 118
+        monitor = DriftMonitor(random_state=0).fit(rng.normal(size=(3000, 182)))
+        assert monitor.min_rows == 118
+        # Without enough rows for a valid test, the window is the reference size.
+        assert DriftMonitor(threshold=0.05).fit(rng.normal(size=(50, 3))).min_rows == 50
+
+    def test_windows_from_the_reference_pool_rarely_flag(self, rng):
+        from scipy.stats import binom
+
+        pool = rng.normal(size=(20_000, 40))
+        monitor = DriftMonitor(random_state=0).fit(pool)
+        n_windows = 400
+        flagged = sum(
+            monitor.check(pool[rng.choice(len(pool), monitor.min_rows, replace=False)]).drifted
+            for _ in range(n_windows)
+        )
+        assert flagged <= binom.ppf(0.999, n_windows, FALSE_ALARM_RATE)
+
+
+@st.composite
+def observed_streams(draw):
+    """A monitor's reference, threshold and a stream of batch sizes around min_rows."""
+    n_ref = draw(st.sampled_from([20, 60]))
+    threshold = draw(st.sampled_from([0.3, 0.5, 0.8]))
+    sizes = draw(st.lists(st.integers(0, 2 * n_ref), min_size=1, max_size=12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n_ref, threshold, sizes, seed
+
+
+def assert_reports_equal(got, want):
+    assert got.statistics.tobytes() == want.statistics.tobytes()
+    assert got.drifted_features == want.drifted_features
+    assert got.skipped_features == want.skipped_features
+    assert got.n_rows == want.n_rows
+
+
+class TestObserve:
+    """``observe`` tests large batches alone and small ones as one window."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=observed_streams())
+    def test_reports_equal_check_of_the_batch_or_the_window(self, case):
+        n_ref, threshold, sizes, seed = case
+        rng = np.random.default_rng(seed)
+        reference = rng.normal(size=(n_ref, 4))
+        reference[:, 3] = rng.random(n_ref) < 0.3  # a tied (one-hot) column
+        monitor = DriftMonitor(threshold=threshold).fit(reference)
+        pending = []
+        for size in sizes:
+            batch = rng.normal(size=(size, 4)) + rng.choice([0.0, 1.5])
+            batch[:, 3] = rng.random(size) < 0.3
+            batch[rng.random(batch.shape) < 0.05] = np.nan
+            got = monitor.observe(batch)
+            if size >= monitor.min_rows:
+                assert_reports_equal(got, monitor.check(batch))
+                continue
+            pending.append(batch)
+            if sum(len(b) for b in pending) < monitor.min_rows:
+                assert got is None
+                continue
+            assert_reports_equal(got, monitor.check(np.concatenate(pending)))
+            pending = []
+
+    def test_small_batches_wait_for_the_window(self, rng):
+        monitor = DriftMonitor(threshold=0.3).fit(rng.normal(size=(500, 3)))
+        assert monitor.min_rows == 29
+        small = [rng.normal(size=(8, 3)) for _ in range(4)]
+        assert [monitor.observe(b) is None for b in small] == [True, True, True, False]
+        assert monitor.observe(small[0]) is None  # the window started over
+
+    def test_large_batch_leaves_the_window_alone(self, rng):
+        monitor = DriftMonitor(threshold=0.3).fit(rng.normal(size=(500, 3)))
+        small = [rng.normal(size=(8, 3)) for _ in range(4)]
+        large = rng.normal(size=(40, 3))
+        for b in small[:3]:
+            assert monitor.observe(b) is None
+        assert monitor.observe(large).n_rows == 40
+        assert_reports_equal(monitor.observe(small[3]), monitor.check(np.concatenate(small)))
+
+    def test_refit_empties_the_window(self, rng):
+        reference = rng.normal(size=(500, 3))
+        monitor = DriftMonitor(threshold=0.3).fit(reference)
+        assert monitor.observe(rng.normal(size=(20, 3))) is None
+        monitor.fit(reference)
+        assert monitor.observe(rng.normal(size=(20, 3))) is None
+
+    @pytest.mark.parametrize("batch", [np.zeros(3), np.zeros((2, 4)), np.zeros((2, 2, 3))])
+    def test_bad_shapes_raise_even_when_the_batch_would_only_wait(self, rng, batch):
+        monitor = DriftMonitor(threshold=0.3).fit(rng.normal(size=(500, 3)))
+        with pytest.raises(ValueError):
+            monitor.check(batch)
+        with pytest.raises(ValueError):
+            monitor.observe(batch)
+
+    def test_unfitted_rejected(self, rng):
+        with pytest.raises(RuntimeError):
+            DriftMonitor().observe(rng.normal(size=(2, 3)))

@@ -82,7 +82,13 @@ class TestInProcessSwap:
         fresh = ScoringPipeline(model_b, policy="f1")
         fresh.calibrate(split.X_val, split.y_val_binary, X_reference=reference)
 
-        probe = split.X_test[:64]
+        # 64 rows are below the window size: neither pipeline tests them.
+        small = split.X_test[:64]
+        assert pipe._monitor.min_rows == fresh._monitor.min_rows > len(small)
+        assert pipe.process(small).drift is None
+        assert fresh.process(small).drift is None
+        # A probe of min_rows rows is tested alone, leaving the window as is.
+        probe = split.X_test[64:64 + fresh._monitor.min_rows]
         got, want = pipe.process(probe).drift, fresh.process(probe).drift
         assert got.statistics.tobytes() == want.statistics.tobytes()
         assert got.drifted_features == want.drifted_features

@@ -124,6 +124,73 @@ class TestProcessing:
         assert pipe.process(split.X_test).drift is None
 
 
+def window_pipeline(model, split, telemetry=None):
+    return ScoringPipeline(model, policy="f1", telemetry=telemetry).calibrate(
+        split.X_val, split.y_val_binary, X_reference=split.X_unlabeled
+    )
+
+
+class TestDriftWindow:
+    """Requests below the monitor's ``min_rows`` share one tested window."""
+
+    def test_small_requests_report_once_their_window_fills(self, fitted):
+        model, split = fitted
+        pipe = window_pipeline(model, split)
+        monitor = pipe._monitor
+        assert monitor.min_rows == 88
+        requests = [split.X_test[8 * i:8 * (i + 1)].copy() for i in range(12)]
+        requests[2][:2, 0] = np.nan  # quarantined rows never join the window
+        reports = [pipe.process(X).drift for X in requests]
+        # 10 requests hold 78 scored rows, the 11th brings the window to 86
+        # and the 12th to 94.
+        assert [r is not None for r in reports] == [False] * 11 + [True]
+        window = np.concatenate([requests[0], requests[1], requests[2][2:], *requests[3:]])
+        want = monitor.check(window)
+        assert reports[-1].n_rows == 94
+        assert reports[-1].statistics.tobytes() == want.statistics.tobytes()
+        assert reports[-1].drifted_features == want.drifted_features
+
+    def test_large_request_is_tested_alone(self, fitted):
+        model, split = fitted
+        pipe = window_pipeline(model, split)
+        assert pipe.process(split.X_test[:8]).drift is None
+        large = split.X_test[8:8 + pipe._monitor.min_rows]
+        got = pipe.process(large).drift
+        want = pipe._monitor.check(large)
+        assert got.n_rows == len(large)
+        assert got.statistics.tobytes() == want.statistics.tobytes()
+
+    def test_window_reports_reach_telemetry(self, fitted):
+        from repro.obs import TelemetryRegistry
+
+        model, split = fitted
+        registry = TelemetryRegistry()
+        pipe = window_pipeline(model, split, telemetry=registry)
+        calibrated = [e for e in registry.events if e.name == "serve.calibrated"]
+        assert calibrated[-1].fields["drift_min_rows"] == 88
+        for i in range(11):
+            pipe.process(split.X_test[8 * i:8 * (i + 1)])
+        assert registry.counter("serve.batches") == 11
+        assert registry.counter("drift.checks") == 1
+
+    def test_swap_starts_the_new_generation_with_an_empty_window(self, fitted):
+        base, split = fitted
+        pipe = window_pipeline(base, split)
+        for i in range(10):
+            assert pipe.process(split.X_test[8 * i:8 * (i + 1)]).drift is None
+        pipe.swap_model(copy.deepcopy(base), split.X_val, split.y_val_binary,
+                        X_reference=split.X_unlabeled)
+        fresh = window_pipeline(base, split)
+        for i in range(10, 21):
+            X = split.X_test[8 * i:8 * (i + 1)]
+            got, want = pipe.process(X).drift, fresh.process(X).drift
+            if want is None:
+                assert got is None
+            else:
+                assert got.statistics.tobytes() == want.statistics.tobytes()
+        assert got is not None and got.n_rows == 88
+
+
 @pytest.fixture
 def gc_disabled():
     """Only reference counting frees objects inside the test."""
