@@ -46,7 +46,10 @@ run_perfbench() {
     # the scoring AUPRC). perfbench exits 0 even when an
     # output check fails, so the lane reads the result line (the last line
     # of output) and fails unless it reports correct outputs and no failed
-    # operations.
+    # operations. On bulk_sqb, whose 4,096-row batches the drift monitor
+    # tests on a row sample, it also reads the `info:` line and fails
+    # unless at most 5% of stable batches (FALSE_ALARM_RATE) and every
+    # shifted batch were flagged.
     run_perfbench_selftest
     for workload in train_unsw stream_sqb bulk_sqb; do
         echo "== perfbench lane: $workload, 3 s =="
@@ -59,6 +62,15 @@ correct, failed = result.get("correct"), result.get("failed")
 print("%s: correct=%s failed=%s" % (sys.argv[1], correct, failed))
 sys.exit(0 if correct is True and failed == 0 else 1)
 ' "$workload"
+        if [ "$workload" = bulk_sqb ]; then
+            printf '%s\n' "$out" | grep '^info: ' | python3 -c '
+import json, sys
+info = json.loads(sys.stdin.read()[len("info: "):])
+stable, shifted = info["drift_flag_share_stable"], info["drift_flag_share_shifted"]
+print("bulk_sqb: drift_flag_share_stable=%s drift_flag_share_shifted=%s" % (stable, shifted))
+sys.exit(0 if stable <= 0.05 and shifted == 1.0 else 1)
+'
+        fi
     done
 }
 

@@ -74,10 +74,12 @@ class AlertBatch:
     *original* incoming batch.
 
     ``drift`` is the :meth:`~repro.serving.drift.DriftMonitor.observe`
-    report: that of the batch itself when it has at least the monitor's
-    ``min_rows`` scored rows, that of the window of small batches when
-    this batch completed one, and ``None`` when the batch only joined the
-    window (or drift monitoring is off, or every row was quarantined).
+    report: that of the batch itself when it has ``min_rows`` to
+    ``sample_rows`` scored rows, that of a seeded sample of
+    ``sample_rows`` of them when it has more, that of the window of small
+    batches when this batch completed one, and ``None`` when the batch
+    only joined the window (or drift monitoring is off, or every row was
+    quarantined).
     :class:`~repro.lifecycle.DriftPolicy` confirms drift on consecutive
     drift reports, so a batch without one neither extends nor breaks a
     streak.
@@ -237,6 +239,9 @@ class ScoringPipeline:
                 n_val=int(len(scores)),
                 drift_min_rows=(
                     self._monitor.min_rows if self._monitor is not None else None
+                ),
+                drift_sample_rows=(
+                    self._monitor.sample_rows if self._monitor is not None else None
                 ),
             )
         return self

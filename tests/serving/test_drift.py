@@ -56,7 +56,8 @@ class TestDriftMonitor:
     def test_reference_subsampled(self, rng):
         reference = rng.normal(0, 1, size=(10_000, 3))
         monitor = DriftMonitor(max_reference=500, random_state=0).fit(reference)
-        assert len(monitor._reference) == 500
+        assert monitor._sample.values.shape == (3, 500)
+        assert monitor._sample.sizes.tolist() == [500, 500, 500]
 
     def test_feature_count_mismatch_rejected(self, rng):
         monitor = DriftMonitor().fit(rng.normal(size=(100, 3)))
@@ -298,10 +299,13 @@ class TestMinRows:
 
 @st.composite
 def observed_streams(draw):
-    """A monitor's reference, threshold and a stream of batch sizes around min_rows."""
+    """A monitor's reference, threshold and a stream of batch sizes around min_rows.
+
+    ``min_rows`` is 5 to 54 here, so the sizes reach past ``sample_rows``.
+    """
     n_ref = draw(st.sampled_from([20, 60]))
     threshold = draw(st.sampled_from([0.3, 0.5, 0.8]))
-    sizes = draw(st.lists(st.integers(0, 2 * n_ref), min_size=1, max_size=12))
+    sizes = draw(st.lists(st.integers(0, 3 * n_ref), min_size=1, max_size=12))
     seed = draw(st.integers(0, 2**32 - 1))
     return n_ref, threshold, sizes, seed
 
@@ -314,7 +318,8 @@ def assert_reports_equal(got, want):
 
 
 class TestObserve:
-    """``observe`` tests large batches alone and small ones as one window."""
+    """``observe`` tests large batches on a seeded sample, mid-sized ones alone
+    and small ones as one window."""
 
     @settings(max_examples=150, deadline=None)
     @given(case=observed_streams())
@@ -323,13 +328,20 @@ class TestObserve:
         rng = np.random.default_rng(seed)
         reference = rng.normal(size=(n_ref, 4))
         reference[:, 3] = rng.random(n_ref) < 0.3  # a tied (one-hot) column
-        monitor = DriftMonitor(threshold=threshold).fit(reference)
+        monitor = DriftMonitor(threshold=threshold, random_state=seed).fit(reference)
+        assert monitor.sample_rows == 2 * monitor.min_rows
+        # Seeded as the generator ``observe`` draws its row samples from.
+        replay = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
         pending = []
         for size in sizes:
             batch = rng.normal(size=(size, 4)) + rng.choice([0.0, 1.5])
             batch[:, 3] = rng.random(size) < 0.3
             batch[rng.random(batch.shape) < 0.05] = np.nan
             got = monitor.observe(batch)
+            if size > monitor.sample_rows:
+                rows = replay.choice(size, monitor.sample_rows, replace=False, shuffle=False)
+                assert_reports_equal(got, monitor.check(batch[np.sort(rows)]))
+                continue
             if size >= monitor.min_rows:
                 assert_reports_equal(got, monitor.check(batch))
                 continue
@@ -339,6 +351,48 @@ class TestObserve:
                 continue
             assert_reports_equal(got, monitor.check(np.concatenate(pending)))
             pending = []
+
+    @settings(max_examples=100, deadline=None)
+    @given(n_ref=st.sampled_from([20, 60]), threshold=st.sampled_from([0.3, 0.5, 0.8]),
+           total=st.integers(0, 400), cuts=st.lists(st.integers(0, 400), max_size=15),
+           seed=st.integers(0, 2**32 - 1))
+    def test_every_report_tests_min_rows_to_twice_min_rows(self, n_ref, threshold, total,
+                                                           cuts, seed):
+        rng = np.random.default_rng(seed)
+        monitor = DriftMonitor(threshold=threshold, random_state=seed) \
+            .fit(rng.normal(size=(n_ref, 3)))
+        stream = rng.normal(size=(total, 3))
+        # Repeated cuts make empty batches.
+        bounds = sorted([0, total, *(c for c in cuts if c <= total)])
+        for start, end in zip(bounds, bounds[1:]):
+            report = monitor.observe(stream[start:end])
+            if report is not None:
+                assert monitor.min_rows <= report.n_rows <= 2 * monitor.min_rows
+
+    def test_one_random_state_gives_one_report_sequence(self, rng):
+        # More rows than max_reference, so the reference subsample is drawn too.
+        reference = rng.normal(size=(3000, 5))
+        stream = [rng.normal(size=(n, 5)) + shift
+                  for n, shift in [(4096, 0.0), (30, 0.0), (100, 0.3), (4096, 0.2),
+                                   (50, 0.0), (600, 0.0), (4096, 0.0)]]
+        first, second = (DriftMonitor(threshold=0.2, random_state=7).fit(reference)
+                         for _ in range(2))
+        assert (first.min_rows, first.sample_rows) == (69, 138)
+        reports = [first.observe(batch) for batch in stream]
+        assert [r.n_rows for r in reports if r is not None] == [138, 100, 138, 80, 138, 138]
+        for batch, want in zip(stream, reports):
+            got = second.observe(batch)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert_reports_equal(got, want)
+        # A refit restarts the sample stream.
+        assert_reports_equal(first.fit(reference).observe(stream[0]), reports[0])
+        # Another seed draws other samples of the same batches.
+        whole = reference[:2000]
+        seven, eight = (DriftMonitor(threshold=0.2, random_state=seed).fit(whole)
+                        for seed in (7, 8))
+        assert seven.observe(stream[0]).statistics.tobytes() != \
+            eight.observe(stream[0]).statistics.tobytes()
 
     def test_small_batches_wait_for_the_window(self, rng):
         monitor = DriftMonitor(threshold=0.3).fit(rng.normal(size=(500, 3)))
@@ -374,3 +428,29 @@ class TestObserve:
     def test_unfitted_rejected(self, rng):
         with pytest.raises(RuntimeError):
             DriftMonitor().observe(rng.normal(size=(2, 3)))
+
+
+class TestSampledBatches:
+    """A batch above ``sample_rows`` is tested on a sample of that many rows."""
+
+    def test_samples_of_large_batches_from_the_reference_pool_rarely_flag(self, rng):
+        from scipy.stats import binom
+
+        pool = rng.normal(size=(20_000, 40))
+        monitor = DriftMonitor(random_state=0).fit(pool)
+        n_batches = 400
+        flagged = 0
+        for _ in range(n_batches):
+            report = monitor.observe(pool[rng.choice(len(pool), 4096, replace=False)])
+            assert report.n_rows == monitor.sample_rows == 194
+            flagged += report.drifted
+        assert flagged <= binom.ppf(0.999, n_batches, FALSE_ALARM_RATE)
+
+    def test_a_shifted_share_clearly_above_the_threshold_flags_nearly_every_sample(self, rng):
+        pool = rng.normal(size=(20_000, 40))
+        monitor = DriftMonitor(random_state=0).fit(pool)
+        batch = pool[rng.choice(len(pool), 4096, replace=False)]
+        batch[rng.random(4096) < 0.3, 3] += 5.0
+        assert monitor.check(batch).statistics[3] > 1.4 * monitor.threshold
+        reports = [monitor.observe(batch) for _ in range(100)]
+        assert sum(r.drifted_features == [3] for r in reports) >= 95

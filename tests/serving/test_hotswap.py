@@ -77,6 +77,10 @@ class TestInProcessSwap:
         assert len(reference) > 2000
         pipe = ScoringPipeline(model_a, policy="f1")
         pipe.calibrate(split.X_val, split.y_val_binary, X_reference=reference)
+        # The retired generation draws a row sample before the swap.
+        large = split.X_test[100:]
+        assert len(large) > pipe._monitor.sample_rows
+        assert pipe.process(large).drift.n_rows == pipe._monitor.sample_rows
         pipe.swap_model(model_b, split.X_val, split.y_val_binary,
                         X_reference=reference)
         fresh = ScoringPipeline(model_b, policy="f1")
@@ -87,11 +91,15 @@ class TestInProcessSwap:
         assert pipe._monitor.min_rows == fresh._monitor.min_rows > len(small)
         assert pipe.process(small).drift is None
         assert fresh.process(small).drift is None
-        # A probe of min_rows rows is tested alone, leaving the window as is.
-        probe = split.X_test[64:64 + fresh._monitor.min_rows]
-        got, want = pipe.process(probe).drift, fresh.process(probe).drift
-        assert got.statistics.tobytes() == want.statistics.tobytes()
-        assert got.drifted_features == want.drifted_features
+        # A probe of min_rows rows is tested alone, leaving the window as is,
+        # and a probe above sample_rows is tested on the first sample of a
+        # restarted sample stream.
+        for probe in (split.X_test[64:64 + fresh._monitor.min_rows], large):
+            got, want = pipe.process(probe).drift, fresh.process(probe).drift
+            assert got.n_rows == want.n_rows
+            assert got.statistics.tobytes() == want.statistics.tobytes()
+            assert got.drifted_features == want.drifted_features
+        assert got.n_rows == fresh._monitor.sample_rows < len(large)
 
     def test_swap_emits_telemetry(self, split, models):
         from repro.obs import TelemetryRegistry

@@ -168,6 +168,7 @@ class TestDriftWindow:
         pipe = window_pipeline(model, split, telemetry=registry)
         calibrated = [e for e in registry.events if e.name == "serve.calibrated"]
         assert calibrated[-1].fields["drift_min_rows"] == 88
+        assert calibrated[-1].fields["drift_sample_rows"] == 176
         for i in range(11):
             pipe.process(split.X_test[8 * i:8 * (i + 1)])
         assert registry.counter("serve.batches") == 11
